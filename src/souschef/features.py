@@ -21,7 +21,6 @@ sets and failing loudly on scalar conflicts. Both are pure.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -603,12 +602,24 @@ def unify(pattern: FeatureValue, target: FeatureValue, bindings: Bindings,
 
 
 def _unify_subset(pmembers, tmembers, bindings, procs) -> list[Bindings]:
-    """Each pattern member matches a distinct target member (backtracking)."""
+    """Each pattern member matches a distinct target member (backtracking).
+
+    A pattern fact such as ``(string ?t "beat")`` would otherwise be unified
+    with every fact of a form set. Targets are rejected before ``unify``
+    when their compound name or arity differs from the pattern's, or when a
+    ``Text``/``Sym`` argument of the pattern (after walking its bindings)
+    differs from the target's argument at that position. ``unify`` returns
+    no binding for exactly those targets, so the result and its order are
+    unchanged. Evaluable patterns are computed first and are not screened.
+    """
     if not pmembers:
         return [bindings]
     out = []
     first, rest = pmembers[0], pmembers[1:]
+    screen = _literal_screen(bindings.walk(first), bindings, procs)
     for i, t in enumerate(tmembers):
+        if screen is not None and not _passes(screen, t):
+            continue
         for env in unify(first, t, bindings, procs):
             remaining = tmembers[:i] + tmembers[i + 1:]
             out.extend(_unify_subset(rest, remaining, env, procs))
@@ -620,6 +631,32 @@ def _unify_subset(pmembers, tmembers, bindings, procs) -> list[Bindings]:
             seen.add(key)
             unique.append(env)
     return unique
+
+
+def _literal_screen(pattern, bindings, procs) -> Optional[tuple]:
+    """(name, arity, ((position, literal), ...)) of an inert compound
+    pattern, or None when the pattern is no such compound."""
+    if not isinstance(pattern, Compound) \
+            or (procs is not None and procs.knows(pattern.name)):
+        return None
+    literals = []
+    for i, a in enumerate(pattern.args):
+        a = bindings.walk(a)
+        if isinstance(a, (Text, Sym)):
+            literals.append((i, a))
+    return pattern.name, len(pattern.args), tuple(literals)
+
+
+def _passes(screen: tuple, target) -> bool:
+    name, arity, literals = screen
+    if not isinstance(target, Compound) or target.name != name \
+            or len(target.args) != arity:
+        return False
+    args = target.args
+    for i, lit in literals:
+        if args[i] != lit:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +677,13 @@ class MatchResult:
 
 
 def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
-          seed: int = 0, procs: Optional[ProcRegistry] = None) -> list[MatchResult]:
+          procs: Optional[ProcRegistry] = None) -> list[MatchResult]:
     """Match a conditional pole against a transient structure.
 
     Returns every surviving binding set (empty list = no match). The result
     is a set: its order is deterministic and independent of target-unit
-    order; ``seed`` is accepted for interface stability but never changes
-    the outcome.
+    order.
     """
-    del seed
     pattern_units = list(pattern_units)
     for pu in pattern_units:
         names = [k for k, _ in pu.features]
@@ -707,7 +742,7 @@ def _form_only(pu: PatternUnit) -> bool:
     return all(k in (FORM_FEATURE, GUARD_FEATURE) for k, _ in pu.features)
 
 
-def _facts_of(value) -> list[Compound]:
+def facts_of(value) -> list[Compound]:
     if isinstance(value, ValueSet):
         return [m for m in value if isinstance(m, Compound)]
     if isinstance(value, Compound):
@@ -719,11 +754,12 @@ def _match_form_feature(pattern_value, unit: Unit, root_form, bindings,
                         procs) -> list[tuple[Bindings, frozenset]]:
     """Form facts unify against the unit's own form set plus the root's."""
     own = unit.get(FORM_FEATURE) if unit is not None else None
-    pool = list(own or []) + [f for f in root_form if f not in (own or ValueSet())]
-    envs = _unify_subset(tuple(_facts_of(pattern_value)), tuple(pool), bindings, procs)
+    own = tuple(own) if own is not None else ()
+    pool = own + tuple(f for f in root_form if f not in own)
+    envs = _unify_subset(tuple(facts_of(pattern_value)), pool, bindings, procs)
     out = []
     for env in envs:
-        touched = frozenset(_touched_tokens(_facts_of(pattern_value), env))
+        touched = frozenset(_touched_tokens(facts_of(pattern_value), env))
         out.append((env, touched))
     return out
 
@@ -742,7 +778,7 @@ def _touched_tokens(facts, env) -> set[str]:
 def _check_guards(pattern_value, bindings, procs) -> list[Bindings]:
     """Evaluate guard terms; (equals ?x expr) unifies, others must not fail."""
     envs = [bindings]
-    for g in _facts_of(pattern_value):
+    for g in facts_of(pattern_value):
         nxt = []
         for env in envs:
             if g.name == "equals":
@@ -814,9 +850,9 @@ def _match_form_only(pu, name_var, root_form, bindings, procs, used,
             continue
         nxt = []
         for env, tch in stack:
-            envs = _unify_subset(tuple(_facts_of(fvalue)), tuple(root_form), env, procs)
+            envs = _unify_subset(tuple(facts_of(fvalue)), tuple(root_form), env, procs)
             for env2 in envs:
-                tch2 = frozenset(_touched_tokens(_facts_of(fvalue), env2))
+                tch2 = frozenset(_touched_tokens(facts_of(fvalue), env2))
                 nxt.append((env2, tch | tch2))
         stack = nxt
         if not stack:
@@ -917,15 +953,8 @@ def text(s: str) -> Text:
     return Text(s)
 
 
-def vset(*members) -> ValueSet:
-    return ValueSet(members)
-
-
 def fact(name: str, *args, **kwargs) -> Compound:
     return Compound(name, tuple(args), tuple(kwargs.items()))
-
-
-_fresh_counter = itertools.count()
 
 
 def rename_fresh(units: Iterable[PatternUnit], known: set[str],

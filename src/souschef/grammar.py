@@ -40,7 +40,7 @@ from .errors import (
 from .features import (
     FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Compound, Num, PatternUnit,
     ProcRegistry, Struct, Sym, Text, TransientStructure, Unit, ValueSet, Var,
-    fact, match, merge, rename_fresh,
+    fact, facts_of, match, merge, rename_fresh,
 )
 from .memory import make_registry
 from .plans import PRIMITIVES, PlanCall, PlanFragment
@@ -433,6 +433,47 @@ def apply_construction(cxn: Construction, ts: TransientStructure,
     return out
 
 
+#: Form facts whose last argument may be a text literal worth indexing.
+_ANCHOR_FACTS = ("string", "lemma")
+
+
+def _anchor(f) -> Optional[tuple]:
+    if isinstance(f, Compound) and f.name in _ANCHOR_FACTS and f.args \
+            and isinstance(f.args[-1], Text):
+        return f.name, f.args[-1].text
+    return None
+
+
+def construction_anchors(cxn: Construction, procs: ProcRegistry) -> frozenset:
+    """(fact name, text) of each conditional form fact ending in a literal.
+
+    A construction can match only a state holding all of its anchors; the
+    four without any (number-word, range-word, bare-np, ingredient-line)
+    are tried on every state.
+    """
+    out = set()
+    for pu in cxn.conditional:
+        for fname, value in pu.features:
+            if fname != FORM_FEATURE:
+                continue
+            for f in facts_of(value):
+                a = _anchor(f)
+                if a is not None and not procs.knows(f.name):
+                    out.add(a)
+    return frozenset(out)
+
+
+def form_anchors(ts: TransientStructure) -> frozenset:
+    """(fact name, text) of every literal-ended form fact of every unit."""
+    out = set()
+    for u in ts.units:
+        for f in facts_of(u.get(FORM_FEATURE)):
+            a = _anchor(f)
+            if a is not None:
+                out.add(a)
+    return frozenset(out)
+
+
 def applied_names(ts: TransientStructure) -> tuple:
     return tuple(inst.split("@", 1)[0] for inst in ts.applied)
 
@@ -450,9 +491,14 @@ class Grammar:
         self.function_words = frozenset(function_words)
         self.ontology = ontology
         self.procs = procs if procs is not None else make_registry(ontology)
-        if not self.procs.knows("with-unit"):
-            self.procs.register("with-unit", _with_unit)
-        self._counter = itertools.count(1)
+        self.anchors = {c.name: construction_anchors(c, self.procs)
+                        for c in self.constructions}
+
+    def candidates(self, ts: TransientStructure) -> list:
+        """Constructions whose anchors are all present in ts, in order."""
+        present = form_anchors(ts)
+        return [c for c in self.constructions
+                if self.anchors[c.name] <= present]
 
     def comprehend(self, utterance, accessible: tuple = (),
                    max_states: int = 4000) -> ComprehensionResult:
@@ -463,11 +509,20 @@ class Grammar:
         content token wins (higher score, then fewer loose ends, then fewer
         applications). Without a covering state the closest terminal state is
         returned with its unconsumed tokens listed.
+
+        Each state tries only its candidate constructions: those whose
+        anchors (the literal string/lemma texts of their conditional form
+        facts) all occur among the state's form facts. This pruning is exact.
+        Every form fact of a conditional pole must unify with a form fact of
+        some unit, and a text literal unifies only with an equal text, so a
+        construction with an absent anchor has no match. Fresh variables are
+        numbered per call, so the result does not depend on earlier calls.
         """
         tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
         ts0 = initialize_transient(tokens, accessible, self.ontology)
         content = {t.token_id for t in tokens
                    if t.word not in self.function_words}
+        counter = itertools.count(1)
 
         states: dict[str, TransientStructure] = {}
         children_cache: dict[str, list] = {}
@@ -481,9 +536,8 @@ class Grammar:
             if key in children_cache:
                 continue
             children = []
-            for cxn in self.constructions:
-                for child in apply_construction(cxn, ts, self.procs,
-                                                self._counter):
+            for cxn in self.candidates(ts):
+                for child in apply_construction(cxn, ts, self.procs, counter):
                     ck = child.content_key()
                     if ck == key:
                         continue
@@ -537,24 +591,6 @@ def _path_score(grammar: Grammar, ts: TransientStructure) -> Fraction:
     for name in applied_names(ts):
         total += grammar.by_name[name].score
     return total
-
-
-def _with_unit(args, _context):
-    """(with-unit NUM SYMBOL) tags a number (or a min/max range) with a unit."""
-    from .features import FAILURE
-    if len(args) != 2 or not isinstance(args[1], Sym):
-        return FAILURE
-    value, unit = args[0], args[1].name
-    if isinstance(value, Num):
-        return Num(value.value, unit)
-    if isinstance(value, Struct):
-        fields = []
-        for k, v in value.fields:
-            if not isinstance(v, Num):
-                return FAILURE
-            fields.append((k, Num(v.value, unit)))
-        return Struct(fields)
-    return FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +786,5 @@ def load_grammar(path, ontology=None,
                  procs: Optional[ProcRegistry] = None) -> Grammar:
     text = Path(path).read_text()
     registry = procs if procs is not None else make_registry(ontology)
-    if not registry.knows("with-unit"):
-        registry.register("with-unit", _with_unit)
     constructions, function_words = parse_grammar(text, registry)
     return Grammar(constructions, function_words, registry, ontology)

@@ -380,8 +380,27 @@ def make_registry(ontology: Ontology) -> ProcRegistry:
             return FAILURE
         return Struct([("min", Num(lo_v)), ("max", Num(hi_v))])
 
+    def with_unit(args, ctx):
+        """(with-unit NUM SYMBOL) tags a number (or a min/max range) with a
+        unit."""
+        del ctx
+        if len(args) != 2 or not isinstance(args[1], Sym):
+            return FAILURE
+        value, unit = args[0], args[1].name
+        if isinstance(value, Num):
+            return Num(value.value, unit)
+        if isinstance(value, Struct):
+            fields = []
+            for k, v in value.fields:
+                if not isinstance(v, Num):
+                    return FAILURE
+                fields.append((k, Num(v.value, unit)))
+            return Struct(fields)
+        return FAILURE
+
     reg.register("lookup-in-ontology", lookup_in_ontology)
     reg.register("is-a", is_a)
     reg.register("parse-number", parse_number)
     reg.register("parse-range", parse_range)
+    reg.register("with-unit", with_unit)
     return reg

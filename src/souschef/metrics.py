@@ -362,8 +362,8 @@ def _dish_leaves(state: KitchenState, ontology) -> list:
     if on_plates:
         return on_plates
     leaves = []
-    for loc in state.locations:
-        leaves.extend(state.food_leaves(loc))
+    for _, serial in state.locations:
+        leaves.extend(state.food_leaves(state.entities[serial]))
     return leaves
 
 

@@ -257,14 +257,6 @@ class PlanFragment:
         return out
 
 
-@dataclass(frozen=True)
-class OpenSlot:
-    variable: Optional[str]
-    call_id: str
-    role: str
-    tag: str  # discourse-resolvable | ontology-resolvable | simulation-computable
-
-
 def call_outputs(call: PlanCall) -> frozenset:
     """Output roles of a call; composite calls export their out-* slots."""
     if call.primitive.startswith("composite:"):
@@ -390,10 +382,21 @@ class SlotStatus:
 
 
 def normalize_fragment(fragment: PlanFragment, next_index) -> None:
-    """Assign call ids and materialize output/ks variables in place."""
-    for call in list(fragment.calls):
+    """Assign call ids, rename grammar variables and materialize output/ks
+    variables, all in place.
+
+    Grammar variables are numbered afresh by every comprehension, so two
+    fragments may share names. Each is renamed to ``<stem>~<i>-<n>``: i is
+    the index of the fragment's first call, n numbers the variables in order
+    of first appearance over the call slots, then discourse, then locate.
+    Names thus stay unique within a session and depend on nothing else.
+    """
+    indices = [next_index() for _ in fragment.calls]
+    if indices:
+        _rename_fragment(fragment, indices[0])
+    for pos, idx in enumerate(indices):
+        call = fragment.calls[pos]
         spec = PRIMITIVES.get(call.primitive)
-        idx = next_index()
         updated = replace(call, call_id=f"c{idx}")
         for role in spec.roles:
             if updated.slot(role) is None and role in spec.outputs:
@@ -401,7 +404,24 @@ def normalize_fragment(fragment: PlanFragment, next_index) -> None:
         ks_in = spec.ks_in
         if ks_in is not None and updated.slot(ks_in) is None:
             updated = updated.with_slot(ks_in, Var(f"v{idx}-{ks_in}"))
-        fragment.calls[fragment.calls.index(call)] = updated
+        fragment.calls[pos] = updated
+
+
+def _rename_fragment(fragment: PlanFragment, base: int) -> None:
+    canon: dict[str, str] = {}
+    names = [v for c in fragment.calls for _, t in c.slots
+             for v in _term_vars(t)]
+    names += list(fragment.discourse) + list(fragment.locate)
+    for name in names:
+        if name not in canon:
+            canon[name] = f"{name.split('~')[0]}~{base}-{len(canon)}"
+    fragment.calls = [
+        replace(c, slots=tuple((r, _rename_term(t, canon)) for r, t in c.slots))
+        for c in fragment.calls]
+    fragment.discourse = {
+        canon[v]: (cat, {k: _rename_term(x, canon) for k, x in props.items()})
+        for v, (cat, props) in fragment.discourse.items()}
+    fragment.locate = {canon[v]: kind for v, kind in fragment.locate.items()}
 
 
 def classify_slots(fragment: PlanFragment, ontology,

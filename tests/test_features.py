@@ -177,3 +177,37 @@ def test_rename_fresh_respects_known_names():
     assert isinstance(feats["referent"], Var)
     assert feats["referent"].name != "x"
     assert feats["referent"].name.startswith("x~")
+
+
+def test_value_set_match_screens_targets_like_unify():
+    # the literal screen before unify must keep exactly unify's results
+    def f(name, *args):
+        return Compound(name, args, ())
+
+    facts = ValueSet([
+        f("string", Sym("t0-beat"), Text("beat")),
+        f("lemma", Sym("t0-beat"), Text("beat")),
+        f("string", Sym("t1-it"), Text("it")),
+        f("meets", Sym("t0-beat"), Sym("t1-it")),
+        f("meets", Sym("t1-it"), Sym("t0-beat")),
+        f("string", Sym("t2-beat"), Text("beat"), Sym("extra")),
+        f("string", Sym("t3-sym"), Sym("beat")),
+        f("string", Sym("t4-var"), Var("w")),
+    ])
+    bound = Bindings().bind("a", Sym("t0-beat"))
+    patterns = [
+        f("string", Var("t"), Text("beat")),
+        f("string", Var("t"), Var("w2")),
+        f("meets", Var("a"), Var("b")),
+        f("meets", Var("b"), Var("a")),
+        f("string", Var("a"), Text("it")),
+        f("lemma", Var("a"), Var("w3")),
+        Var("whole"),
+    ]
+    for p in patterns:
+        reference = []
+        for t in facts:
+            for env in unify(p, t, bound):
+                if env not in reference:
+                    reference.append(env)
+        assert unify(ValueSet([p]), facts, bound) == reference, p

@@ -1,15 +1,18 @@
 """Grammar file parsing and comprehension over the bundled constructions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from souschef import (
     DuplicateNameError, GrammarSyntaxError, Grammar, UnknownProcedureError,
-    extract_fragment, parse_grammar, tokenize,
+    extract_fragment, load_recipe, parse_grammar, run_recipe, tokenize,
 )
+import souschef.grammar as grammar_module
 from souschef.features import Num, Struct, Sym, ValueSet, Var
 from souschef.grammar import split_sentences
+from conftest import ALMOND, fresh_kitchen
 
 
 def test_tokenize_strips_punctuation_keeps_hyphens():
@@ -182,3 +185,56 @@ def test_competing_noun_claims_resolve_to_one_analysis(grammar):
     shape = next(c for c in fragment.calls if c.primitive == "shape")
     assert shape.slot("items") == portion.slot("portions")
     assert shape.slot("shape") == Sym("crescent")
+
+
+def test_constructions_without_anchors_are_the_open_ones(grammar):
+    open_ones = sorted(n for n, a in grammar.anchors.items() if not a)
+    assert open_ones == ["bare-np", "ingredient-line", "number-word",
+                         "range-word"]
+    assert grammar.anchors["white-sugar-noun"] == frozenset(
+        {("string", "white"), ("string", "sugar")})
+
+
+@pytest.mark.parametrize("sentence", [
+    "225 g butter",
+    "Preheat the oven to 175 degrees C",
+    "Add the white sugar and the almond flour",
+    "Bake for 12 minutes",
+])
+def test_anchor_prefilter_skips_only_constructions_that_cannot_apply(
+        grammar, monkeypatch, sentence):
+    reached = {}
+    apply = grammar_module.apply_construction
+
+    def recording(cxn, ts, procs, counter):
+        reached[id(ts)] = ts
+        return apply(cxn, ts, procs, counter)
+
+    monkeypatch.setattr(grammar_module, "apply_construction", recording)
+    assert grammar.comprehend(sentence).succeeded
+    skipped = 0
+    for ts in reached.values():
+        tried = {c.name for c in grammar.candidates(ts)}
+        for cxn in grammar.constructions:
+            if cxn.name not in tried:
+                skipped += 1
+                assert apply(cxn, ts, grammar.procs,
+                             itertools.count(1)) == [], cxn.name
+    assert skipped > 0
+
+
+def test_almond_search_stays_within_match_budget(grammar, ontology,
+                                                 data_dir, monkeypatch):
+    # machine-independent guard against losing the anchor pruning
+    calls = itertools.count()
+    match = grammar_module.match
+
+    def counting(*args, **kwargs):
+        next(calls)
+        return match(*args, **kwargs)
+
+    monkeypatch.setattr(grammar_module, "match", counting)
+    ks, config = fresh_kitchen()
+    document = load_recipe(data_dir / "recipes" / f"{ALMOND}.txt")
+    run_recipe(document, grammar, ontology, ks, config, seed=0)
+    assert next(calls) <= 2500

@@ -6,7 +6,7 @@ import pytest
 
 from souschef import (
     InputError, PlanCall, PlanNetwork, SizeExceededError, build_report,
-    dish_approximation_score, goal_condition_success, load_goals,
+    dish_approximation_score, goal_condition_success, load_goals, load_plan,
     plan_triples, recipe_execution_time, smatch_exact, smatch_plans,
     smatch_score,
 )
@@ -162,3 +162,12 @@ def test_build_report_collects_sections(almond_result, ontology):
     assert report["dish-approximation-score"]["score"] == 1.0
     assert report["time-minutes"] == 56.5
     assert report["time-minutes-exact"] == "113/2"
+
+
+def test_dish_score_of_unplated_state_scores_loose_food(run_plan, data_dir,
+                                                        ontology):
+    outcome = run_plan(load_plan(data_dir / "gold" / "small-a.plan.json"))
+    score, detail = dish_approximation_score(outcome.state, outcome.state,
+                                             ontology)
+    assert score == Fraction(1)
+    assert detail["properties"]["arrangement"]["predicted"] >= 1

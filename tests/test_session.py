@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from souschef import (
-    CookingSession, InputError, UnderstandingFailure, parse_recipe, run_recipe,
+    CookingSession, InputError, UnderstandingFailure, load_recipe,
+    parse_recipe, run_recipe, save_plan,
 )
 from souschef.features import Num, Var
 from souschef.narrative import (
@@ -153,3 +154,19 @@ def test_vanilla_run_summary(vanilla_result):
     assert len(vanilla_result.network.calls) == 21
     closure = vanilla_result.inn.closure_status()
     assert closure["closed"] is True
+
+
+def test_rerun_with_shared_grammar_gives_identical_artifacts(
+        almond_result, grammar, ontology, data_dir, tmp_path):
+    # fresh-variable names must not depend on earlier comprehensions
+    ks, config = fresh_kitchen()
+    document = load_recipe(data_dir / "recipes" / "almond-crescent-cookies.txt")
+    again = run_recipe(document, grammar, ontology, ks, config, seed=0)
+    for name, result in (("first", almond_result), ("again", again)):
+        out = tmp_path / name
+        out.mkdir()
+        save_plan(result.network, out / "plan.json")
+        result.inn.write_json(out / "questions.json")
+    for artifact in ("plan.json", "questions.json"):
+        assert (tmp_path / "first" / artifact).read_bytes() == \
+            (tmp_path / "again" / artifact).read_bytes()
