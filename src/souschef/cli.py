@@ -93,12 +93,10 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _understand(args):
+def _understand(args, world: tuple):
     """Run the full session for a recipe and write its artifacts."""
-    grammar, ontology, ks, config = _load_world(args)
     document = load_recipe(_resolve_recipe(args.recipe))
-    result = run_recipe(document, grammar, ontology, ks, config,
-                        seed=args.seed)
+    result = run_recipe(document, *world)
     out = _out_dir(args)
     save_plan(result.network, out / "plan.json")
     result.inn.write_curve_tsv(out / "curve.tsv")
@@ -121,7 +119,7 @@ def _print_summary(result, out: Path) -> None:
 
 
 def cmd_understand(args) -> int:
-    result, out = _understand(args)
+    result, out = _understand(args, _load_world(args))
     _print_summary(result, out)
     if not result.closed:
         _emit_error({"error": "understanding-failure",
@@ -135,19 +133,18 @@ def cmd_understand(args) -> int:
 def cmd_execute(args) -> int:
     if args.plan is None and args.recipe is None:
         raise InputError("execute needs --plan or --recipe")
-    ontology = Ontology.load(args.ontology)
-    ks, config = load_kitchen(args.kitchen)
     out = _out_dir(args)
     if args.plan is not None:
+        ontology = Ontology.load(args.ontology)
+        ks, config = load_kitchen(args.kitchen)
         network = load_plan(args.plan)
     else:
-        grammar = load_grammar(args.grammar, ontology)
+        # KitchenState is copy-on-write: understanding leaves ks as loaded
+        world = _load_world(args)
+        _, ontology, ks, config = world
         document = load_recipe(_resolve_recipe(args.recipe))
-        result = run_recipe(document, grammar, ontology, ks, config,
-                            seed=args.seed)
-        network = result.network
+        network = run_recipe(document, *world).network
         save_plan(network, out / "plan.json")
-        ks, config = load_kitchen(args.kitchen)
     sim = KitchenSimulator(ontology, config)
     outcome = execute_plan(network, ks, sim, seed=args.seed)
     write_trace(outcome.trace, out / "trace.jsonl", args.trace_level)
@@ -172,12 +169,12 @@ def cmd_evaluate(args) -> int:
     if not goals_path.exists():
         raise InputError(f"no goal file at {goals_path}")
 
-    result, out = _understand(args)
+    world = _load_world(args)
+    _, ontology, ks, config = world
+    result, out = _understand(args, world)
     gold = load_plan(gold_plan_path)
     goals = load_goals(goals_path)
 
-    ontology = Ontology.load(args.ontology)
-    ks, config = load_kitchen(args.kitchen)
     sim = KitchenSimulator(ontology, config)
     reference = execute_plan(gold, ks, sim, seed=args.seed)
 
@@ -224,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="initial kitchen specification")
         p.add_argument("--out-dir", default="out",
                        help="directory for output artifacts")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for tie-breaking and restarts")
         p.add_argument("--trace-level", choices=TRACE_LEVELS,
                        default="full", help="detail kept in trace.jsonl")
 
@@ -237,12 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_execute = sub.add_parser(
         "execute", help="run a plan against a fresh kitchen")
     common(p_execute, recipe_required=False)
+    p_execute.add_argument("--seed", type=int, default=0,
+                           help="seed for the order of ready calls")
     p_execute.add_argument("--plan", help="saved plan.json to run")
     p_execute.set_defaults(func=cmd_execute)
 
     p_evaluate = sub.add_parser(
         "evaluate", help="score a recipe run against gold data")
     common(p_evaluate, recipe_required=True)
+    p_evaluate.add_argument("--seed", type=int, default=0,
+                            help="seed for the gold run's call order and "
+                                 "the smatch restarts")
     p_evaluate.add_argument("--gold-plan", help="reference plan.json")
     p_evaluate.add_argument("--goals", help="goal conditions JSON")
     p_evaluate.set_defaults(func=cmd_evaluate)

@@ -14,7 +14,11 @@ unit a bag of feature/value pairs. Values are a small closed vocabulary:
   unifies structurally and serves for form facts and meaning predicates alike.
 
 ``match`` unifies a pattern (a construction's conditional pole) against a
-transient structure one-directionally and returns every binding set.
+transient structure one-directionally and returns every binding set. Form
+facts (``string``, ``lemma``, ``meets`` ...) live on the ``root`` unit only:
+the initial structure puts them there and a grammar may contribute ``form``
+to ``root`` alone, so every pattern unit's form facts match against the
+root's form set.
 ``merge`` overlays a contributing pole under one binding set, unioning value
 sets and failing loudly on scalar conflicts. Both are pure.
 """
@@ -74,16 +78,16 @@ class Var:
 
 
 class ValueSet:
-    """Ordered, duplicate-free value collection. Matches by subset."""
+    """Ordered, duplicate-free value collection. Matches by subset.
+
+    Equality and hashing ignore order: two sets are equal when they hold
+    equal members.
+    """
 
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable["FeatureValue"] = ()):
-        seen = []
-        for m in members:
-            if m not in seen:
-                seen.append(m)
-        object.__setattr__(self, "members", tuple(seen))
+        object.__setattr__(self, "members", tuple(dict.fromkeys(members)))
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("ValueSet is immutable")
@@ -100,10 +104,10 @@ class ValueSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueSet):
             return NotImplemented
-        return frozenset_key(self.members) == frozenset_key(other.members)
+        return frozenset(self.members) == frozenset(other.members)
 
     def __hash__(self) -> int:
-        return hash(frozenset_key(self.members))
+        return hash(frozenset(self.members))
 
     def union(self, other: "ValueSet") -> "ValueSet":
         return ValueSet(self.members + other.members)
@@ -139,7 +143,7 @@ class Struct:
         return dict(self.fields) == dict(other.fields)
 
     def __hash__(self) -> int:
-        return hash(frozenset_key(self.fields))
+        return hash(frozenset(self.fields))
 
     def __repr__(self) -> str:
         inner = " ".join(f"({k} {v!r})" for k, v in self.fields)
@@ -173,11 +177,6 @@ FeatureValue = Union[Sym, Num, Text, Var, ValueSet, Struct, Compound]
 FAILURE = Sym("#failure")
 TRUE = Sym("true")
 FALSE = Sym("false")
-
-
-def frozenset_key(items) -> frozenset:
-    # Helper for order-insensitive hashing of small collections.
-    return frozenset((repr(i), i.__class__.__name__) for i in items)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,7 @@ class Bindings:
         return self._map == other._map
 
     def __hash__(self):
-        return hash(frozenset_key(list(self._map.items())))
+        return hash(frozenset(self._map.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +623,7 @@ def _unify_subset(pmembers, tmembers, bindings, procs) -> list[Bindings]:
             remaining = tmembers[:i] + tmembers[i + 1:]
             out.extend(_unify_subset(rest, remaining, env, procs))
     # Deduplicate: different target orderings can reach identical bindings.
-    seen, unique = set(), []
-    for env in out:
-        key = hash(env)
-        if key not in seen:
-            seen.add(key)
-            unique.append(env)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def _literal_screen(pattern, bindings, procs) -> Optional[tuple]:
@@ -690,7 +683,7 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
         if len(names) != len(set(names)):
             raise StructuralError(f"duplicate feature in pattern unit {pu.name!r}")
 
-    root_form = ts.root.get(FORM_FEATURE) or ValueSet()
+    pool = tuple(ts.root.get(FORM_FEATURE) or ())
 
     results: list[tuple[Bindings, frozenset, tuple]] = []
 
@@ -702,40 +695,40 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
         pu = pattern_units[idx]
         name = bindings.walk(pu.name) if isinstance(pu.name, Var) else pu.name
 
-        candidates: list[Unit] = []
+        candidates: list[Optional[Unit]] = []
         if isinstance(name, Sym):
             u = ts.unit(name.name)
             if u is not None and u.name not in used:
                 candidates = [u]
         else:
             candidates = [u for u in ts.units if u.name not in used]
-
-        for unit in candidates:
-            envs = [bindings]
-            if isinstance(name, Var):
-                nb = envs[0].bind(name.name, Sym(unit.name))
-                if nb is None:
-                    continue
-                envs = [nb]
-            _match_into(pu, unit, root_form, envs, procs, used, touched, umap, idx,
-                        attempt_next=attempt)
-
         # Form-only extraction: a pattern unit whose features are all form
         # facts (plus guards) may bind through the root's form set without a
         # counterpart unit; the unit it describes comes into being at merge.
         if isinstance(name, Var) and _form_only(pu):
-            _match_form_only(pu, name, root_form, bindings, procs, used,
-                             touched, umap, idx, attempt)
+            candidates.append(None)
+
+        for unit in candidates:
+            env = bindings
+            if unit is not None and isinstance(name, Var):
+                env = env.bind(name.name, Sym(unit.name))
+                if env is None:
+                    continue
+            for env2, tch in _match_unit(pu, unit, pool, env, touched, procs):
+                if unit is not None:
+                    attempt(idx + 1, env2, used | {unit.name}, tch,
+                            umap + ((idx, unit.name),))
+                elif not isinstance(env2.walk(name), Var):
+                    # the form facts must have named the unit
+                    attempt(idx + 1, env2, used, tch, umap + ((idx, None),))
 
     attempt(0, Bindings(), frozenset(), frozenset(), ())
 
-    seen, unique = set(), []
+    unique: dict[tuple, tuple] = {}
     for env, touched, umap in results:
-        key = (hash(env), touched)
-        if key not in seen:
-            seen.add(key)
-            unique.append(MatchResult(env, touched, umap))
-    return unique
+        unique.setdefault((env, touched), umap)
+    return [MatchResult(env, touched, umap)
+            for (env, touched), umap in unique.items()]
 
 
 def _form_only(pu: PatternUnit) -> bool:
@@ -748,20 +741,6 @@ def facts_of(value) -> list[Compound]:
     if isinstance(value, Compound):
         return [value]
     return []
-
-
-def _match_form_feature(pattern_value, unit: Unit, root_form, bindings,
-                        procs) -> list[tuple[Bindings, frozenset]]:
-    """Form facts unify against the unit's own form set plus the root's."""
-    own = unit.get(FORM_FEATURE) if unit is not None else None
-    own = tuple(own) if own is not None else ()
-    pool = own + tuple(f for f in root_form if f not in own)
-    envs = _unify_subset(tuple(facts_of(pattern_value)), pool, bindings, procs)
-    out = []
-    for env in envs:
-        touched = frozenset(_touched_tokens(facts_of(pattern_value), env))
-        out.append((env, touched))
-    return out
 
 
 def _touched_tokens(facts, env) -> set[str]:
@@ -804,68 +783,39 @@ def _check_guards(pattern_value, bindings, procs) -> list[Bindings]:
     return envs
 
 
-def _match_into(pu, unit, root_form, envs, procs, used, touched, umap, idx,
-                attempt_next):
-    for env0 in envs:
-        stack = [(env0, touched)]
-        ok = True
-        for fname, fvalue in pu.features:
-            if fname == GUARD_FEATURE:
-                continue  # guards run last, once other features bound things
-            nxt = []
-            if fname == FORM_FEATURE:
-                for env, tch in stack:
-                    for env2, tch2 in _match_form_feature(fvalue, unit, root_form, env, procs):
-                        nxt.append((env2, tch | tch2))
-            else:
-                tv = unit.get(fname)
-                if tv is None:
-                    stack = []
-                    ok = False
-                    break
-                for env, tch in stack:
-                    for env2 in unify(fvalue, tv, env, procs):
-                        nxt.append((env2, tch))
-            stack = nxt
-            if not stack:
-                ok = False
-                break
-        if not ok:
-            continue
-        for env, tch in stack:
-            genvs = [env]
-            for fname, fvalue in pu.features:
-                if fname == GUARD_FEATURE:
-                    genvs = [e2 for e in genvs for e2 in _check_guards(fvalue, e, procs)]
-            for genv in genvs:
-                attempt_next(idx + 1, genv, used | {unit.name}, tch,
-                             umap + ((idx, unit.name),))
+def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
+                env: Bindings, touched: frozenset,
+                procs) -> list[tuple[Bindings, frozenset]]:
+    """(bindings, touched tokens) under which pu matches unit.
 
-
-def _match_form_only(pu, name_var, root_form, bindings, procs, used,
-                     touched, umap, idx, attempt_next):
-    stack = [(bindings, touched)]
+    Form facts unify against the root's form facts (`pool`). A unit of None
+    is the form-only leg: pu has only form and guard features.
+    """
+    stack = [(env, touched)]
     for fname, fvalue in pu.features:
         if fname == GUARD_FEATURE:
-            continue
-        nxt = []
-        for env, tch in stack:
-            envs = _unify_subset(tuple(facts_of(fvalue)), tuple(root_form), env, procs)
-            for env2 in envs:
-                tch2 = frozenset(_touched_tokens(facts_of(fvalue), env2))
-                nxt.append((env2, tch | tch2))
-        stack = nxt
+            continue  # guards run last, once other features bound things
+        if fname == FORM_FEATURE:
+            facts = tuple(facts_of(fvalue))
+            stack = [(env2, tch | _touched_tokens(facts, env2))
+                     for env, tch in stack
+                     for env2 in _unify_subset(facts, pool, env, procs)]
+        else:
+            tv = unit.get(fname)
+            if tv is None:
+                return []
+            stack = [(env2, tch) for env, tch in stack
+                     for env2 in unify(fvalue, tv, env, procs)]
         if not stack:
-            return
+            return []
+    out = []
     for env, tch in stack:
         genvs = [env]
         for fname, fvalue in pu.features:
             if fname == GUARD_FEATURE:
                 genvs = [e2 for e in genvs for e2 in _check_guards(fvalue, e, procs)]
-        for genv in genvs:
-            if genv.walk(name_var) is name_var or isinstance(genv.walk(name_var), Var):
-                continue  # the form facts must have named the unit
-            attempt_next(idx + 1, genv, used, tch, umap + ((idx, None),))
+        out.extend((genv, tch) for genv in genvs)
+    return out
 
 
 # ---------------------------------------------------------------------------

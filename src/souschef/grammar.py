@@ -23,6 +23,11 @@ Feature values: ?x is a variable, "..." is text, numbers are exact rationals,
 (num 175 degrees-C) attaches a unit, bare names are symbols, any other list
 is a compound term; compounds named after registered procedures evaluate
 during matching and merging (procedural attachment).
+
+Form facts live on the ``root`` unit only. A contributing pole may give
+``form`` to ``root`` and to no other unit (the lemmatizations add
+``(lemma ?t "...")`` there); a grammar that does otherwise fails to load
+with GrammarSyntaxError.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .features import (
     fact, facts_of, match, merge, rename_fresh,
 )
 from .memory import make_registry
-from .plans import PRIMITIVES, PlanCall, PlanFragment
+from .plans import PRIMITIVES, PlanCall, PlanFragment, _term_vars
 
 CONSTRUCTION_KINDS = (
     "lemmatization", "lexical", "idiomatic", "semi-schematic", "abstract",
@@ -93,8 +98,7 @@ def split_sentences(text: str) -> list:
 # Transient structure initialization
 
 
-def initialize_transient(tokens: list, accessible: tuple = (),
-                         ontology=None) -> TransientStructure:
+def initialize_transient(tokens: list, accessible: tuple = ()) -> TransientStructure:
     """Root unit with token form facts plus one context unit per accessible
     discourse entry (class, ids, recency rank)."""
     if not tokens:
@@ -315,6 +319,13 @@ def _parse_cxn(node: _Node) -> Construction:
             if pole in poles:
                 raise GrammarSyntaxError(f"duplicate {pole} pole", line=it.line)
             poles[pole] = tuple(_parse_pattern_unit(u) for u in it.value[1:])
+            if pole == "contributing":
+                for u, pu in zip(it.value[1:], poles[pole]):
+                    if pu.name != Sym(ROOT) \
+                            and any(f == FORM_FEATURE for f, _ in pu.features):
+                        raise GrammarSyntaxError(
+                            f"construction {name}: form may be contributed "
+                            f"only to root", line=u.line)
             k += 1
         else:
             raise GrammarSyntaxError(
@@ -464,14 +475,9 @@ def construction_anchors(cxn: Construction, procs: ProcRegistry) -> frozenset:
 
 
 def form_anchors(ts: TransientStructure) -> frozenset:
-    """(fact name, text) of every literal-ended form fact of every unit."""
-    out = set()
-    for u in ts.units:
-        for f in facts_of(u.get(FORM_FEATURE)):
-            a = _anchor(f)
-            if a is not None:
-                out.add(a)
-    return frozenset(out)
+    """(fact name, text) of every literal-ended form fact of the root."""
+    anchors = (_anchor(f) for f in facts_of(ts.root.get(FORM_FEATURE)))
+    return frozenset(a for a in anchors if a is not None)
 
 
 def applied_names(ts: TransientStructure) -> tuple:
@@ -489,7 +495,6 @@ class Grammar:
             by_name[c.name] = c
         self.by_name = by_name
         self.function_words = frozenset(function_words)
-        self.ontology = ontology
         self.procs = procs if procs is not None else make_registry(ontology)
         self.anchors = {c.name: construction_anchors(c, self.procs)
                         for c in self.constructions}
@@ -512,14 +517,14 @@ class Grammar:
 
         Each state tries only its candidate constructions: those whose
         anchors (the literal string/lemma texts of their conditional form
-        facts) all occur among the state's form facts. This pruning is exact.
+        facts) all occur among the root's form facts. This pruning is exact.
         Every form fact of a conditional pole must unify with a form fact of
-        some unit, and a text literal unifies only with an equal text, so a
+        the root, and a text literal unifies only with an equal text, so a
         construction with an absent anchor has no match. Fresh variables are
         numbered per call, so the result does not depend on earlier calls.
         """
         tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
-        ts0 = initialize_transient(tokens, accessible, self.ontology)
+        ts0 = initialize_transient(tokens, accessible)
         content = {t.token_id for t in tokens
                    if t.word not in self.function_words}
         counter = itertools.count(1)
@@ -748,7 +753,7 @@ def _count_dangling(ts: TransientStructure) -> int:
                 if isinstance(a, Var):
                     groups[g].add(aliases.find(a.name))
         elif f.name == "slot" and len(f.args) == 3:
-            for v in _vars_in(f.args[2]):
+            for v in _term_vars(f.args[2]):
                 used.add(aliases.find(v))
         elif f.name in ("discourse", "locate") and f.args \
                 and isinstance(f.args[0], Var):
@@ -767,17 +772,6 @@ def _count_dangling(ts: TransientStructure) -> int:
     return len(dangling)
 
 
-def _vars_in(term) -> list:
-    if isinstance(term, Var):
-        return [term.name]
-    if isinstance(term, ValueSet):
-        out = []
-        for m in term:
-            out.extend(_vars_in(m))
-        return out
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Loading
 
@@ -787,4 +781,4 @@ def load_grammar(path, ontology=None,
     text = Path(path).read_text()
     registry = procs if procs is not None else make_registry(ontology)
     constructions, function_words = parse_grammar(text, registry)
-    return Grammar(constructions, function_words, registry, ontology)
+    return Grammar(constructions, function_words, registry)

@@ -446,22 +446,6 @@ class KitchenSimulator:
     def __init__(self, ontology=None, config: Optional[dict] = None):
         self.ontology = ontology
         self.config = _merge_config(config)
-        self._extra_handlers: dict = {}
-        self._extra_passive: set[str] = set()
-
-    def register(self, name: str, handler, minutes: Optional[int] = None,
-                 passive: bool = False) -> None:
-        """Extend the primitive inventory with a user-supplied operation.
-
-        The handler receives (simulator, builder, slots, preheat_required)
-        and returns (outputs, warnings), like the built-in ones.
-        """
-        if name in _HANDLERS or name in self._extra_handlers:
-            raise InputError(f"duplicate primitive name: {name}")
-        self._extra_handlers[name] = handler
-        self.config["durations"][name] = minutes
-        if passive:
-            self._extra_passive.add(name)
 
     # -- lookups -------------------------------------------------------------
 
@@ -549,14 +533,14 @@ class KitchenSimulator:
         return _minutes(value, name)
 
     def is_passive(self, name: str) -> bool:
-        return name in PASSIVE_PRIMITIVES or name in self._extra_passive
+        return name in PASSIVE_PRIMITIVES
 
     # -- entry point ----------------------------------------------------------
 
     def apply(self, name: str, slots: dict, ks: KitchenState,
               start: Optional[Fraction] = None,
               preheat_required: bool = False) -> ApplyResult:
-        handler = _HANDLERS.get(name) or self._extra_handlers.get(name)
+        handler = _HANDLERS.get(name)
         if handler is None:
             raise SimulationError("unknown-primitive", name)
         dclock = self.duration_of(name, slots)

@@ -156,22 +156,15 @@ def initial_plot_node(kitchen_state_id: str) -> PlotNode:
 
 
 class PersonalDynamicMemory:
-    """Ontology + plot + learned composites + archive of past narratives."""
+    """Ontology plus the plot: one node per understood instruction."""
 
     def __init__(self, ontology: Ontology, kitchen_state_id: str):
         self.ontology = ontology
         self.plot: list[PlotNode] = [initial_plot_node(kitchen_state_id)]
-        self.composites: dict[str, object] = {}
-        self.past_narratives: tuple = ()
-        self.metadata: dict[str, object] = {}
 
     @property
     def current(self) -> PlotNode:
         return self.plot[-1]
-
-    def archive(self, record: dict) -> None:
-        frozen = tuple(sorted(record.items()))
-        self.past_narratives = self.past_narratives + (frozen,)
 
 
 def resolve_entity(node: PlotNode, kitchen_state, ontology: Ontology,

@@ -161,10 +161,6 @@ class _AlignScorer:
         return m
 
 
-def _matched_count(a: TripleSet, b: TripleSet, mapping: dict) -> int:
-    return _AlignScorer(a, b).full(mapping)
-
-
 def _score(a: TripleSet, b: TripleSet, matched: int) -> OverlapScore:
     ta, tb = len(a), len(b)
     p = Fraction(matched, ta) if ta else Fraction(0)
@@ -265,10 +261,10 @@ def smatch_exact(a: TripleSet, b: TripleSet, max_vars: int = 8) -> OverlapScore:
             f"got {len(a.nodes)} and {len(b.nodes)}")
     small_a = len(a.nodes) <= len(b.nodes)
     x, y = (a, b) if small_a else (b, a)
+    scorer = _AlignScorer(x, y)
     best = 0
     for perm in itertools.permutations(y.nodes, len(x.nodes)):
-        mapping = dict(zip(x.nodes, perm))
-        best = max(best, _matched_count(x, y, mapping))
+        best = max(best, scorer.full(dict(zip(x.nodes, perm))))
     return _score(a, b, best)
 
 

@@ -28,6 +28,7 @@ from .kitchen import (
     content_hash, slot_values_to_json,
 )
 from .memory import PlotNode, resolve_entity
+from .narrative import SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION
 from .serialize import fv_from_json, fv_to_json
 
 # ---------------------------------------------------------------------------
@@ -355,11 +356,6 @@ def _term_vars(term) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Slot classification (shared by question raising and completion)
-
-SOURCE_LANGUAGE = "language"
-SOURCE_SIMULATION = "mental-simulation"
-SOURCE_ONTOLOGY = "ontology"
-SOURCE_PDM = "discourse-pdm"
 
 #: ontology feature consulted for each defaultable role, on the concept named
 #: after the primitive itself.
@@ -857,7 +853,7 @@ class Executor:
             dclock=result.dclock,
             state_before=before.state_id,
             state_after=self.state.state_id,
-            hash_before=content_hash(before),
+            hash_before=self.trace.final_hash,  # hash of `before`
             hash_after=content_hash(self.state),
             warnings=result.warnings,
         ))

@@ -168,8 +168,7 @@ class CookingSession:
     """Stateful per-recipe pipeline; one instance understands one recipe."""
 
     def __init__(self, grammar: Grammar, ontology: Ontology,
-                 kitchen_state: KitchenState, config: Optional[dict] = None,
-                 seed: int = 0):
+                 kitchen_state: KitchenState, config: Optional[dict] = None):
         self.grammar = grammar
         self.ontology = ontology
         self.sim = KitchenSimulator(ontology, config)
@@ -179,7 +178,6 @@ class CookingSession:
         self.calls: list[PlanCall] = []
         self.producer_of: dict[int, str] = {}
         self.chain_var: Optional[str] = None
-        self.seed = seed
         self._index = itertools.count()
         self.steps: list[StepReport] = []
 
@@ -338,7 +336,7 @@ class CookingSession:
 
 
 def run_recipe(document: RecipeDocument, grammar: Grammar, ontology: Ontology,
-               kitchen_state: KitchenState, config: Optional[dict] = None,
-               seed: int = 0) -> SessionResult:
-    session = CookingSession(grammar, ontology, kitchen_state, config, seed)
+               kitchen_state: KitchenState, config: Optional[dict] = None
+               ) -> SessionResult:
+    session = CookingSession(grammar, ontology, kitchen_state, config)
     return session.run(document)

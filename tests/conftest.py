@@ -43,7 +43,7 @@ def kitchen():
 def _run(name, grammar, ontology):
     ks, config = fresh_kitchen()
     document = load_recipe(DATA / "recipes" / f"{name}.txt")
-    return run_recipe(document, grammar, ontology, ks, config, seed=0)
+    return run_recipe(document, grammar, ontology, ks, config)
 
 
 @pytest.fixture(scope="session")

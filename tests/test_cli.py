@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from souschef import load_plan
+from souschef import Ontology, cli, load_plan
 from souschef.cli import main
 from souschef.narrative import parse_curve_tsv
 from conftest import DATA
@@ -120,3 +120,29 @@ def test_ununderstandable_recipe_exits_two(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "understanding-failure"
+
+
+def test_each_command_loads_the_world_once(tmp_path, monkeypatch):
+    loads = {"ontology": 0, "kitchen": 0}
+    real_ontology, real_kitchen = Ontology.load, cli.load_kitchen
+
+    def load_ontology(path):
+        loads["ontology"] += 1
+        return real_ontology(path)
+
+    def load_kitchen(path):
+        loads["kitchen"] += 1
+        return real_kitchen(path)
+
+    monkeypatch.setattr(Ontology, "load", staticmethod(load_ontology))
+    monkeypatch.setattr(cli, "load_kitchen", load_kitchen)
+    commands = (
+        ["understand", "--recipe", "vanilla-butter-rounds"],
+        ["execute", "--recipe", "vanilla-butter-rounds"],
+        ["execute", "--plan", str(tmp_path / "0" / "plan.json")],
+        ["evaluate", "--recipe", "vanilla-butter-rounds"],
+    )
+    for i, argv in enumerate(commands):
+        loads.update(ontology=0, kitchen=0)
+        assert main(argv + ["--out-dir", str(tmp_path / str(i))]) == 0, argv
+        assert loads == {"ontology": 1, "kitchen": 1}, argv

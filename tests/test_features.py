@@ -8,7 +8,7 @@ from souschef import MergeFailure, StructuralError
 from souschef.features import (
     Bindings, Compound, MatchResult, Num, PatternUnit, Struct, Sym, Text,
     TransientStructure, Unit, ValueSet, Var, match, merge, normalize_num,
-    nums_equal, rename_fresh, unify, vars_of,
+    _unify_subset, nums_equal, rename_fresh, unify, vars_of,
 )
 
 
@@ -211,3 +211,23 @@ def test_value_set_match_screens_targets_like_unify():
                 if env not in reference:
                     reference.append(env)
         assert unify(ValueSet([p]), facts, bound) == reference, p
+
+
+def test_value_set_subset_keeps_bindings_that_differ_by_type():
+    # Sym("1") and Num(1) print alike but are different values
+    envs = _unify_subset((Var("x"),), (Sym("1"), Num(Fraction(1))),
+                         Bindings(), None)
+    assert [e.lookup("x") for e in envs] == [Sym("1"), Num(Fraction(1))]
+
+
+def test_value_set_equality_follows_member_equality():
+    def f(*args):
+        return Compound("f", args, ())
+
+    assert ValueSet([f(Sym("1"))]) != ValueSet([f(Num(Fraction(1)))])
+    ab = Struct([("a", Sym("x")), ("b", Sym("y"))])
+    ba = Struct([("b", Sym("y")), ("a", Sym("x"))])
+    assert ab == ba
+    assert ValueSet([ab]) == ValueSet([ba])
+    assert hash(ValueSet([ab])) == hash(ValueSet([ba]))
+    assert len(ValueSet([ab, ba])) == 1

@@ -71,6 +71,16 @@ def test_parse_grammar_rejects_unknown_guard_procedure():
         """, make_registry(None))
 
 
+def test_parse_grammar_rejects_form_contributed_off_root():
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar("""
+        (cxn plural :kind lemmatization :score 1/2
+          (conditional (?t (form (string ?t "balls"))))
+          (contributing (?t (form (lemma ?t "ball")))))
+        """)
+    assert err.value.line == 4
+
+
 def test_grammar_rejects_duplicate_construction_names():
     text = """
     (cxn twin :kind lexical :score 1/2
@@ -236,5 +246,5 @@ def test_almond_search_stays_within_match_budget(grammar, ontology,
     monkeypatch.setattr(grammar_module, "match", counting)
     ks, config = fresh_kitchen()
     document = load_recipe(data_dir / "recipes" / f"{ALMOND}.txt")
-    run_recipe(document, grammar, ontology, ks, config, seed=0)
+    run_recipe(document, grammar, ontology, ks, config)
     assert next(calls) <= 2500

@@ -103,6 +103,16 @@ def test_execute_simple_chain():
     assert outcome.trace.final_hash == content_hash(outcome.state)
 
 
+def test_each_record_starts_from_the_previous_hash(gold_almond, run_plan):
+    outcome = run_plan(gold_almond, seed=3)
+    records = outcome.trace.records
+    befores = [r.hash_before for r in records]
+    afters = [outcome.trace.initial_hash] + [r.hash_after for r in records[:-1]]
+    assert befores == afters
+    assert outcome.trace.initial_hash == content_hash(fresh_kitchen()[0])
+    assert outcome.trace.final_hash == content_hash(outcome.state)
+
+
 def test_execution_trace_serializes(tmp_path):
     ks, sim = _fresh_sim()
     outcome = execute_plan(tiny_network(), ks, sim)

@@ -1,6 +1,8 @@
 """Recipe documents and the instruction-by-instruction understanding loop."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from souschef.narrative import (
     SOURCE_LANGUAGE, SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION,
 )
 from souschef.plans import question_id
-from conftest import fresh_kitchen
+from conftest import ALMOND, VANILLA, fresh_kitchen
 
 
 SAMPLE = """\
@@ -161,7 +163,7 @@ def test_rerun_with_shared_grammar_gives_identical_artifacts(
     # fresh-variable names must not depend on earlier comprehensions
     ks, config = fresh_kitchen()
     document = load_recipe(data_dir / "recipes" / "almond-crescent-cookies.txt")
-    again = run_recipe(document, grammar, ontology, ks, config, seed=0)
+    again = run_recipe(document, grammar, ontology, ks, config)
     for name, result in (("first", almond_result), ("again", again)):
         out = tmp_path / name
         out.mkdir()
@@ -170,3 +172,14 @@ def test_rerun_with_shared_grammar_gives_identical_artifacts(
     for artifact in ("plan.json", "questions.json"):
         assert (tmp_path / "first" / artifact).read_bytes() == \
             (tmp_path / "again" / artifact).read_bytes()
+
+
+def test_bundled_analyses_are_unchanged(almond_result, vanilla_result):
+    # which constructions fired, step by step, on both bundled recipes
+    expected = json.loads(
+        (Path(__file__).parent / "data" / "bundled_analyses.json").read_text())
+    for name, result in ((ALMOND, almond_result), (VANILLA, vanilla_result)):
+        got = [{"applied": list(s.applied),
+                "unresolved_tokens": list(s.unresolved_tokens)}
+               for s in result.steps]
+        assert got == expected[name], name
