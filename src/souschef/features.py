@@ -21,14 +21,31 @@ to ``root`` alone, so every pattern unit's form facts match against the
 root's form set.
 ``merge`` overlays a contributing pole under one binding set, unioning value
 sets and failing loudly on scalar conflicts. Both are pure.
+
+Units, pattern units and transient structures are immutable, so work that
+depends on one ``Unit`` object is done once for it and kept on it, however
+many search states share it:
+
+* ``Unit.canonical`` holds this unit's part of ``content_key``: its
+  name-blind sort key, the variables and generated names it mentions in
+  walk order, and, when it mentions none, its finished rendering. It
+  depends on the unit alone and is always valid.
+* ``Unit.form_pool`` holds a root unit's form facts with their positions by
+  ``(name, arity)`` and by ``(name, arity, position, literal)``; ``match``
+  unifies pattern form facts against it. It depends on the unit alone.
+* ``Unit.first_matches`` holds, per first pattern unit of a conditional
+  pole, what ``_match_unit`` returned for this unit (on the root, for the
+  form-only leg). An entry is valid only while the form pool and the
+  procedure registry it was computed with are the same objects.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, KeysView, Optional, Union
 
 from .errors import (
     MergeFailure,
@@ -220,15 +237,27 @@ def nums_equal(a: Num, b: Num) -> bool:
 # Variables and substitution
 
 
-def vars_of(fv: FeatureValue) -> set[str]:
-    out: set[str] = set()
+def vars_of(fv: FeatureValue) -> KeysView[str]:
+    """Variable names in fv, set-like, in first-occurrence order."""
+    out: dict[str, None] = {}
     _collect_vars(fv, out)
-    return out
+    return out.keys()
 
 
-def _collect_vars(fv, out: set[str]) -> None:
+def variables_in_order(units: Iterable[PatternUnit]) -> tuple:
+    """Variable names of pattern units in first-occurrence order: each
+    unit's name, then its feature values depth first."""
+    out: dict[str, None] = {}
+    for pu in units:
+        _collect_vars(pu.name, out)
+        for _, v in pu.features:
+            _collect_vars(v, out)
+    return tuple(out)
+
+
+def _collect_vars(fv, out: dict[str, None]) -> None:
     if isinstance(fv, Var):
-        out.add(fv.name)
+        out[fv.name] = None
     elif isinstance(fv, ValueSet):
         for m in fv:
             _collect_vars(m, out)
@@ -383,6 +412,49 @@ class Unit:
         feats.append((feature, value))
         return Unit(self.name, tuple(feats))
 
+    @cached_property
+    def canonical(self) -> tuple:
+        """(blind sort key, walk sequence, rendering or None) for
+        ``TransientStructure.content_key``."""
+        feats = sorted(self.features, key=lambda kv: kv[0])
+        generated = bool(_GEN_NAME.match(self.name))
+        blind = ("~" if generated else self.name,
+                 ";".join(f"{k}={_blind_repr(v)}" for k, v in feats))
+        walk: list[tuple[bool, str]] = []  # (is a variable, name)
+        if generated:
+            walk.append((False, self.name))
+        for _, v in feats:
+            _canonical_walk(v, walk)
+        text = None
+        if not walk:  # nothing to number: the rendering is final
+            text = _render_unit(self.name, feats, {}, {})
+        return blind, tuple(walk), text
+
+    @cached_property
+    def form_pool(self) -> tuple:
+        """(form facts, index) that ``match`` unifies form facts against.
+
+        The index maps ``(name, arity)``, and ``(name, arity, position,
+        literal)`` for each Text/Sym argument, to ascending fact positions.
+        """
+        facts = tuple(self.get(FORM_FEATURE) or ())
+        index: dict[tuple, list[int]] = {}
+        for j, f in enumerate(facts):
+            if not isinstance(f, Compound):
+                continue
+            shape = (f.name, len(f.args))
+            index.setdefault(shape, []).append(j)
+            for i, a in enumerate(f.args):
+                if isinstance(a, (Text, Sym)):
+                    index.setdefault(shape + (i, a), []).append(j)
+        return facts, index
+
+    @cached_property
+    def first_matches(self) -> dict:
+        """id(first pattern unit), or (id,) for the form-only leg on a root,
+        -> (pattern unit, pool, procs, legs); see ``_first_unit_legs``."""
+        return {}
+
 
 @dataclass(frozen=True)
 class PatternUnit:
@@ -445,73 +517,74 @@ class TransientStructure:
         are first ordered by a name-blind rendering, then variables and
         generated names are numbered along that order. Two structures that
         differ only in the order constructions happened to allocate names in
-        therefore collide, which is exactly what the search wants.
+        therefore collide, which is exactly what the search wants. The
+        per-unit parts come from ``Unit.canonical``.
         """
-        blind_order = sorted(
-            self.units,
-            key=lambda u: (
-                _GEN_NAME.match(u.name) and "~" or u.name,
-                ";".join(
-                    f"{k}={_blind_repr(v)}"
-                    for k, v in sorted(u.features, key=lambda kv: kv[0])
-                ),
-            ),
-        )
-
+        blind_order = sorted(self.units, key=lambda u: u.canonical[0])
         var_order: dict[str, int] = {}
         gen_order: dict[str, int] = {}
-
-        def walk(fv):
-            if isinstance(fv, Var):
-                var_order.setdefault(fv.name, len(var_order))
-            elif isinstance(fv, Sym):
-                if _GEN_NAME.match(fv.name):
-                    gen_order.setdefault(fv.name, len(gen_order))
-            elif isinstance(fv, ValueSet):
-                for m in sorted(fv, key=_blind_repr):
-                    walk(m)
-            elif isinstance(fv, Struct):
-                for _, v in fv.fields:
-                    walk(v)
-            elif isinstance(fv, Compound):
-                for a in fv.args:
-                    walk(a)
-                for _, v in fv.kwargs:
-                    walk(v)
-
         for u in blind_order:
-            if _GEN_NAME.match(u.name):
-                gen_order.setdefault(u.name, len(gen_order))
-            for _, v in sorted(u.features, key=lambda kv: kv[0]):
-                walk(v)
-
-        def render(fv) -> str:
-            if isinstance(fv, Var):
-                return f"?v{var_order[fv.name]}"
-            if isinstance(fv, Sym) and fv.name in gen_order:
-                return f"g{gen_order[fv.name]}"
-            if isinstance(fv, ValueSet):
-                return "{" + ",".join(sorted(render(m) for m in fv)) + "}"
-            if isinstance(fv, Struct):
-                return "(" + " ".join(f"{k}={render(v)}" for k, v in fv.fields) + ")"
-            if isinstance(fv, Compound):
-                bits = [fv.name] + [render(a) for a in fv.args]
-                bits += [f":{k}={render(v)}" for k, v in fv.kwargs]
-                return "(" + " ".join(bits) + ")"
-            return repr(fv)
-
+            for is_var, name in u.canonical[1]:
+                order = var_order if is_var else gen_order
+                order.setdefault(name, len(order))
         parts = []
         for u in blind_order:
-            name = f"g{gen_order[u.name]}" if u.name in gen_order else u.name
-            feats = ";".join(
-                f"{k}={render(v)}"
-                for k, v in sorted(u.features, key=lambda kv: kv[0])
-            )
-            parts.append(f"{name}[{feats}]")
+            text = u.canonical[2]
+            if text is None:
+                text = _render_unit(u.name,
+                                    sorted(u.features, key=lambda kv: kv[0]),
+                                    var_order, gen_order)
+            parts.append(text)
         return "|".join(sorted(parts))
 
 
 _GEN_NAME = re.compile(r"^unit-\d+$")
+
+
+def _canonical_walk(fv, out: list) -> None:
+    """(is a variable, name) of fv's variables and generated names, in the
+    order ``content_key`` numbers them."""
+    if isinstance(fv, Var):
+        out.append((True, fv.name))
+    elif isinstance(fv, Sym):
+        if _GEN_NAME.match(fv.name):
+            out.append((False, fv.name))
+    elif isinstance(fv, ValueSet):
+        for m in sorted(fv, key=_blind_repr):
+            _canonical_walk(m, out)
+    elif isinstance(fv, Struct):
+        for _, v in fv.fields:
+            _canonical_walk(v, out)
+    elif isinstance(fv, Compound):
+        for a in fv.args:
+            _canonical_walk(a, out)
+        for _, v in fv.kwargs:
+            _canonical_walk(v, out)
+
+
+def _render_unit(name: str, sorted_features, var_order: dict,
+                 gen_order: dict) -> str:
+    """One unit of ``content_key``: variables and generated names numbered."""
+
+    def render(fv) -> str:
+        if isinstance(fv, Var):
+            return f"?v{var_order[fv.name]}"
+        if isinstance(fv, Sym) and fv.name in gen_order:
+            return f"g{gen_order[fv.name]}"
+        if isinstance(fv, ValueSet):
+            return "{" + ",".join(sorted(render(m) for m in fv)) + "}"
+        if isinstance(fv, Struct):
+            return "(" + " ".join(f"{k}={render(v)}" for k, v in fv.fields) + ")"
+        if isinstance(fv, Compound):
+            bits = [fv.name] + [render(a) for a in fv.args]
+            bits += [f":{k}={render(v)}" for k, v in fv.kwargs]
+            return "(" + " ".join(bits) + ")"
+        return repr(fv)
+
+    if name in gen_order:
+        name = f"g{gen_order[name]}"
+    feats = ";".join(f"{k}={render(v)}" for k, v in sorted_features)
+    return f"{name}[{feats}]"
 
 
 def _blind_repr(fv) -> str:
@@ -600,7 +673,8 @@ def unify(pattern: FeatureValue, target: FeatureValue, bindings: Bindings,
     raise StructuralError(f"unsupported pattern value: {pattern!r}")
 
 
-def _unify_subset(pmembers, tmembers, bindings, procs) -> list[Bindings]:
+def _unify_subset(pmembers, tmembers, bindings, procs,
+                  index: Optional[dict] = None) -> list[Bindings]:
     """Each pattern member matches a distinct target member (backtracking).
 
     A pattern fact such as ``(string ?t "beat")`` would otherwise be unified
@@ -610,20 +684,42 @@ def _unify_subset(pmembers, tmembers, bindings, procs) -> list[Bindings]:
     differs from the target's argument at that position. ``unify`` returns
     no binding for exactly those targets, so the result and its order are
     unchanged. Evaluable patterns are computed first and are not screened.
+    With an ``index`` of tmembers (see ``Unit.form_pool``) only the
+    smallest bucket the screen names is visited, in ascending position.
     """
-    if not pmembers:
-        return [bindings]
-    out = []
-    first, rest = pmembers[0], pmembers[1:]
-    screen = _literal_screen(bindings.walk(first), bindings, procs)
-    for i, t in enumerate(tmembers):
-        if screen is not None and not _passes(screen, t):
-            continue
-        for env in unify(first, t, bindings, procs):
-            remaining = tmembers[:i] + tmembers[i + 1:]
-            out.extend(_unify_subset(rest, remaining, env, procs))
+    out: list[Bindings] = []
+
+    def extend(k: int, env: Bindings, used: tuple) -> None:
+        if k == len(pmembers):
+            out.append(env)
+            return
+        first = pmembers[k]
+        screen = _literal_screen(env.walk(first), env, procs)
+        for j in _candidates(screen, len(tmembers), index):
+            if j in used:
+                continue
+            t = tmembers[j]
+            if screen is not None and not _passes(screen, t):
+                continue
+            for env2 in unify(first, t, env, procs):
+                extend(k + 1, env2, used + (j,))
+
+    extend(0, bindings, ())
     # Deduplicate: different target orderings can reach identical bindings.
     return list(dict.fromkeys(out))
+
+
+def _candidates(screen: Optional[tuple], n: int, index: Optional[dict]):
+    """Target positions worth screening, ascending."""
+    if screen is None or index is None:
+        return range(n)
+    name, arity, literals = screen
+    best = index.get((name, arity), ())
+    for i, lit in literals:
+        bucket = index.get((name, arity, i, lit), ())
+        if len(bucket) < len(best):
+            best = bucket
+    return best
 
 
 def _literal_screen(pattern, bindings, procs) -> Optional[tuple]:
@@ -678,12 +774,16 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
     order.
     """
     pattern_units = list(pattern_units)
+    required = []  # per pattern unit: features a counterpart unit must have
     for pu in pattern_units:
         names = [k for k, _ in pu.features]
         if len(names) != len(set(names)):
             raise StructuralError(f"duplicate feature in pattern unit {pu.name!r}")
+        required.append([k for k in names
+                         if k not in (FORM_FEATURE, GUARD_FEATURE)])
 
-    pool = tuple(ts.root.get(FORM_FEATURE) or ())
+    root = ts.root
+    pool = root.form_pool
 
     results: list[tuple[Bindings, frozenset, tuple]] = []
 
@@ -709,12 +809,19 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
             candidates.append(None)
 
         for unit in candidates:
-            env = bindings
-            if unit is not None and isinstance(name, Var):
-                env = env.bind(name.name, Sym(unit.name))
-                if env is None:
-                    continue
-            for env2, tch in _match_unit(pu, unit, pool, env, touched, procs):
+            if unit is not None \
+                    and any(unit.get(k) is None for k in required[idx]):
+                continue  # _match_unit would find no value to unify
+            if idx == 0:
+                legs = _first_unit_legs(pu, unit, root, pool, procs)
+            else:
+                env = bindings
+                if unit is not None and isinstance(name, Var):
+                    env = env.bind(name.name, Sym(unit.name))
+                    if env is None:
+                        continue
+                legs = _match_unit(pu, unit, pool, env, touched, procs)
+            for env2, tch in legs:
                 if unit is not None:
                     attempt(idx + 1, env2, used | {unit.name}, tch,
                             umap + ((idx, unit.name),))
@@ -783,14 +890,38 @@ def _check_guards(pattern_value, bindings, procs) -> list[Bindings]:
     return envs
 
 
+def _first_unit_legs(pu: PatternUnit, unit: Optional[Unit], root: Unit,
+                     pool: tuple, procs) -> list[tuple[Bindings, frozenset]]:
+    """``_match_unit`` for the first pattern unit of a pole, memoized.
+
+    With no bindings yet and no tokens touched, the result depends only on
+    pu, unit, pool and procs. It is kept in ``unit.first_matches`` (in the
+    root's, for the form-only leg) and reused while pool and procs are the
+    same objects, so a unit shared by many states is matched once.
+    """
+    holder, key = (unit, id(pu)) if unit is not None else (root, (id(pu),))
+    entry = holder.first_matches.get(key)
+    if entry is not None and entry[0] is pu and entry[1] is pool \
+            and entry[2] is procs:
+        return entry[3]
+    env = Bindings()
+    if unit is not None and isinstance(pu.name, Var):
+        env = env.bind(pu.name.name, Sym(unit.name))
+    legs = _match_unit(pu, unit, pool, env, frozenset(), procs)
+    holder.first_matches[key] = (pu, pool, procs, legs)
+    return legs
+
+
 def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
                 env: Bindings, touched: frozenset,
                 procs) -> list[tuple[Bindings, frozenset]]:
     """(bindings, touched tokens) under which pu matches unit.
 
-    Form facts unify against the root's form facts (`pool`). A unit of None
-    is the form-only leg: pu has only form and guard features.
+    Form facts unify against the root's form facts (`pool`, the root's
+    ``form_pool``). A unit of None is the form-only leg: pu has only form
+    and guard features.
     """
+    facts_pool, index = pool
     stack = [(env, touched)]
     for fname, fvalue in pu.features:
         if fname == GUARD_FEATURE:
@@ -799,7 +930,8 @@ def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
             facts = tuple(facts_of(fvalue))
             stack = [(env2, tch | _touched_tokens(facts, env2))
                      for env, tch in stack
-                     for env2 in _unify_subset(facts, pool, env, procs)]
+                     for env2 in _unify_subset(facts, facts_pool, env, procs,
+                                               index)]
         else:
             tv = unit.get(fname)
             if tv is None:
@@ -909,27 +1041,39 @@ def fact(name: str, *args, **kwargs) -> Compound:
 
 def rename_fresh(units: Iterable[PatternUnit], known: set[str],
                  counter: Iterator[int]) -> list[PatternUnit]:
-    """Rename every variable not in `known` to a fresh name (per application)."""
-    mapping: dict[str, Var] = {}
+    """Rename every variable not in `known` to a fresh name (per application).
 
-    def ren(fv):
-        if isinstance(fv, Var):
-            if fv.name in known:
-                return fv
-            if fv.name not in mapping:
-                mapping[fv.name] = Var(f"{fv.name}~{next(counter)}")
-            return mapping[fv.name]
-        if isinstance(fv, ValueSet):
-            return ValueSet(ren(m) for m in fv)
-        if isinstance(fv, Struct):
-            return Struct([(k, ren(v)) for k, v in fv.fields])
-        if isinstance(fv, Compound):
-            return Compound(fv.name, tuple(ren(a) for a in fv.args),
-                            tuple((k, ren(v)) for k, v in fv.kwargs))
-        return fv
+    Variables are numbered from `counter` in ``variables_in_order``.
+    """
+    units = list(units)
+    names = [n for n in variables_in_order(units) if n not in known]
+    return rename_units(units, fresh_mapping(names, counter))
 
-    out = []
-    for pu in units:
-        out.append(PatternUnit(ren(pu.name) if isinstance(pu.name, Var) else pu.name,
-                               tuple((k, ren(v)) for k, v in pu.features)))
-    return out
+
+def fresh_mapping(names: Iterable[str], numbers: Iterable[int]) -> dict:
+    """name -> Var("name~N"), pairing names with numbers in order."""
+    return {n: Var(f"{n}~{k}") for n, k in zip(names, numbers)}
+
+
+def rename_units(units: Iterable[PatternUnit],
+                 mapping: dict) -> list[PatternUnit]:
+    return [PatternUnit(rename_vars(pu.name, mapping),
+                        tuple((k, rename_vars(v, mapping))
+                              for k, v in pu.features))
+            for pu in units]
+
+
+def rename_vars(fv: FeatureValue, mapping: dict) -> FeatureValue:
+    """fv with each variable named in mapping replaced by mapping[name]."""
+    if isinstance(fv, Var):
+        return mapping.get(fv.name, fv)
+    if isinstance(fv, ValueSet):
+        return ValueSet(rename_vars(m, mapping) for m in fv)
+    if isinstance(fv, Struct):
+        return Struct([(k, rename_vars(v, mapping)) for k, v in fv.fields])
+    if isinstance(fv, Compound):
+        return Compound(fv.name,
+                        tuple(rename_vars(a, mapping) for a in fv.args),
+                        tuple((k, rename_vars(v, mapping))
+                              for k, v in fv.kwargs))
+    return fv

@@ -22,7 +22,8 @@ Grammar file syntax (s-expressions, ';' comments):
 Feature values: ?x is a variable, "..." is text, numbers are exact rationals,
 (num 175 degrees-C) attaches a unit, bare names are symbols, any other list
 is a compound term; compounds named after registered procedures evaluate
-during matching and merging (procedural attachment).
+during matching and merging (procedural attachment). A variable name may
+not contain '~', which marks the fresh variables of comprehension.
 
 Form facts live on the ``root`` unit only. A contributing pole may give
 ``form`` to ``root`` and to no other unit (the lemmatizations add
@@ -35,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -45,7 +47,8 @@ from .errors import (
 from .features import (
     FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Compound, Num, PatternUnit,
     ProcRegistry, Struct, Sym, Text, TransientStructure, Unit, ValueSet, Var,
-    fact, facts_of, match, merge, rename_fresh,
+    fact, facts_of, fresh_mapping, match, merge, rename_units, rename_vars,
+    variables_in_order,
 )
 from .memory import make_registry
 from .plans import PRIMITIVES, PlanCall, PlanFragment, _term_vars
@@ -131,6 +134,12 @@ class Construction:
     conditional: tuple
     contributing: tuple
 
+    @cached_property
+    def variables(self) -> tuple:
+        """Variable names of both poles in first-occurrence order, the
+        order each application numbers them in."""
+        return variables_in_order(self.conditional + self.contributing)
+
 
 @dataclass
 class _Node:
@@ -204,6 +213,9 @@ def _atom_value(s: str, line: int):
     if s.startswith("?"):
         if len(s) == 1:
             raise GrammarSyntaxError("bare '?' is not a variable", line=line)
+        if "~" in s:
+            raise GrammarSyntaxError(
+                f"variable {s}: '~' is reserved for fresh variables", line=line)
         return Var(s[1:])
     try:
         return Num(Fraction(s))
@@ -414,24 +426,38 @@ class ComprehensionResult:
     tokens: list
     unresolved_tokens: list   # Token objects never consumed
     succeeded: bool
+    truncated: bool           # stopped at max_states with states unexpanded
 
 
 def apply_construction(cxn: Construction, ts: TransientStructure,
                        procs: ProcRegistry, counter) -> list:
-    """Every transient structure one application of cxn can produce."""
-    renamed = rename_fresh(list(cxn.conditional) + list(cxn.contributing),
-                           set(), counter)
-    cond = renamed[:len(cxn.conditional)]
-    contrib = renamed[len(cxn.conditional):]
+    """Every transient structure one application of cxn can produce.
+
+    Matching runs on the grammar's own conditional pole, on its own
+    variables; grammar variables contain no ``~`` and every variable of a
+    state does, so the two never meet. Fresh numbering is the same as if
+    both poles were renamed for every attempt: each attempt takes
+    ``len(cxn.variables)`` numbers from counter, and an application not
+    made before renames the contributing pole and the bindings with them
+    (``?x`` becomes ``?x~N``) before the merge.
+    """
+    numbers = tuple(itertools.islice(counter, len(cxn.variables)))
+    mapping = contrib = None
     out = []
-    for mr in match(cond, ts, procs=procs):
+    for mr in match(cxn.conditional, ts, procs=procs):
         anchor = ",".join(sorted(mr.touched_tokens))
         targets = ",".join(sorted(n for _, n in mr.unit_map if n))
         instance = f"{cxn.name}@{anchor}|{targets}"
         if instance in ts.applied:
             continue  # this exact application already happened
+        if mapping is None:
+            mapping = fresh_mapping(cxn.variables, numbers)
+            contrib = rename_units(cxn.contributing, mapping)
+        bindings = Bindings({
+            mapping[k].name if k in mapping else k: rename_vars(v, mapping)
+            for k, v in mr.bindings.items()})
         try:
-            outcome = merge(contrib, ts, mr.bindings, procs)
+            outcome = merge(contrib, ts, bindings, procs)
         except MergeFailure:
             continue
         result = TransientStructure(
@@ -522,6 +548,8 @@ class Grammar:
         the root, and a text literal unifies only with an equal text, so a
         construction with an absent anchor has no match. Fresh variables are
         numbered per call, so the result does not depend on earlier calls.
+        The search stops once it holds max_states states; the result is then
+        ``truncated`` when a state was left unexpanded.
         """
         tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
         ts0 = initialize_transient(tokens, accessible)
@@ -557,6 +585,7 @@ class Grammar:
             children_cache[key] = children
             if not children:
                 terminal.append(key)
+        truncated = any(k not in children_cache for k in work)
 
         if not terminal:  # state cap hit on a pathological grammar
             terminal = list(states)
@@ -574,6 +603,7 @@ class Grammar:
             tokens=tokens,
             unresolved_tokens=unresolved,
             succeeded=bool(goals),
+            truncated=truncated,
         )
 
     def _rank(self, ts: TransientStructure, content: set) -> tuple:

@@ -143,6 +143,7 @@ class StepReport:
     applied: tuple
     call_ids: tuple
     unresolved_tokens: tuple  # surface words never integrated
+    truncated: bool           # comprehension stopped at its state cap
 
 
 @dataclass
@@ -214,8 +215,10 @@ class CookingSession:
                 qid, f"unintegrated token '{tok.word}'", index)
             question_refs.append(qid)
         if not result.succeeded or not fragment.calls:
+            cap = " (the search stopped at its state cap)" \
+                if result.truncated else ""
             raise UnderstandingFailure(
-                f"no covering analysis for {text!r}",
+                f"no covering analysis for {text!r}{cap}",
                 question_id=question_refs[0] if question_refs else None,
                 instruction_index=index)
 
@@ -285,6 +288,7 @@ class CookingSession:
             applied=result.applied,
             call_ids=tuple(c.call_id for c in calls),
             unresolved_tokens=tuple(t.word for t in fragment.unresolved_tokens),
+            truncated=result.truncated,
         )
         self.steps.append(report)
         return report

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from souschef import Ontology, cli, load_plan
 from souschef.cli import main
 from souschef.narrative import parse_curve_tsv

@@ -211,6 +211,14 @@ def test_value_set_match_screens_targets_like_unify():
                 if env not in reference:
                     reference.append(env)
         assert unify(ValueSet([p]), facts, bound) == reference, p
+    # the root's indexed form pool visits the same targets in the same order
+    pool, index = Unit("root", (("form", facts),)).form_pool
+    for p in patterns:
+        assert _unify_subset((p,), pool, bound, None, index) == \
+            unify(ValueSet([p]), facts, bound), p
+        for q in patterns:
+            assert _unify_subset((p, q), pool, bound, None, index) == \
+                _unify_subset((p, q), pool, bound, None), (p, q)
 
 
 def test_value_set_subset_keeps_bindings_that_differ_by_type():

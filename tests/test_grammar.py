@@ -1,17 +1,26 @@
 """Grammar file parsing and comprehension over the bundled constructions."""
 
+import functools
+import gc
 import itertools
+import re
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from souschef import (
-    DuplicateNameError, GrammarSyntaxError, Grammar, UnknownProcedureError,
-    extract_fragment, load_recipe, parse_grammar, run_recipe, tokenize,
+    DuplicateNameError, GrammarSyntaxError, Grammar, UnderstandingFailure,
+    UnknownProcedureError, extract_fragment, load_grammar, load_recipe,
+    parse_grammar, run_recipe, tokenize,
 )
+import souschef.features as features_module
 import souschef.grammar as grammar_module
-from souschef.features import Num, Struct, Sym, ValueSet, Var
+from souschef.features import (
+    Compound, Num, Struct, Sym, TransientStructure, Unit, ValueSet, Var, match,
+)
 from souschef.grammar import split_sentences
+from souschef.session import CookingSession
 from conftest import ALMOND, fresh_kitchen
 
 
@@ -77,6 +86,17 @@ def test_parse_grammar_rejects_form_contributed_off_root():
         (cxn plural :kind lemmatization :score 1/2
           (conditional (?t (form (string ?t "balls"))))
           (contributing (?t (form (lemma ?t "ball")))))
+        """)
+    assert err.value.line == 4
+
+
+def test_grammar_variables_may_not_contain_tilde():
+    # state variables are all stem~N; grammar variables must never equal one
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar("""
+        (cxn tilde :kind lexical :score 1/2
+          (conditional (?t (form (string ?t "mix"))))
+          (contributing (?t (referent ?x~1))))
         """)
     assert err.value.line == 4
 
@@ -205,14 +225,16 @@ def test_constructions_without_anchors_are_the_open_ones(grammar):
         {("string", "white"), ("string", "sugar")})
 
 
-@pytest.mark.parametrize("sentence", [
+SEARCH_SENTENCES = [
     "225 g butter",
     "Preheat the oven to 175 degrees C",
     "Add the white sugar and the almond flour",
     "Bake for 12 minutes",
-])
-def test_anchor_prefilter_skips_only_constructions_that_cannot_apply(
-        grammar, monkeypatch, sentence):
+]
+
+
+def _reached_states(grammar, sentence) -> list:
+    """Every state comprehend tries a construction on, in first-seen order."""
     reached = {}
     apply = grammar_module.apply_construction
 
@@ -220,31 +242,209 @@ def test_anchor_prefilter_skips_only_constructions_that_cannot_apply(
         reached[id(ts)] = ts
         return apply(cxn, ts, procs, counter)
 
-    monkeypatch.setattr(grammar_module, "apply_construction", recording)
-    assert grammar.comprehend(sentence).succeeded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grammar_module, "apply_construction", recording)
+        assert grammar.comprehend(sentence).succeeded
+    return list(reached.values())
+
+
+@pytest.mark.parametrize("sentence", SEARCH_SENTENCES)
+def test_anchor_prefilter_skips_only_constructions_that_cannot_apply(
+        grammar, sentence):
     skipped = 0
-    for ts in reached.values():
+    for ts in _reached_states(grammar, sentence):
         tried = {c.name for c in grammar.candidates(ts)}
         for cxn in grammar.constructions:
             if cxn.name not in tried:
                 skipped += 1
-                assert apply(cxn, ts, grammar.procs,
-                             itertools.count(1)) == [], cxn.name
+                assert grammar_module.apply_construction(
+                    cxn, ts, grammar.procs, itertools.count(1)) == [], cxn.name
     assert skipped > 0
+
+
+_GEN = re.compile(r"^unit-\d+$")
+
+
+def _blind(fv) -> str:
+    if isinstance(fv, Var):
+        return "?"
+    if isinstance(fv, Sym) and _GEN.match(fv.name):
+        return "~"
+    if isinstance(fv, ValueSet):
+        return "{" + ",".join(sorted(_blind(m) for m in fv)) + "}"
+    if isinstance(fv, Struct):
+        return "(" + " ".join(f"{k}={_blind(v)}" for k, v in fv.fields) + ")"
+    if isinstance(fv, Compound):
+        bits = [fv.name] + [_blind(a) for a in fv.args]
+        bits += [f":{k}={_blind(v)}" for k, v in fv.kwargs]
+        return "(" + " ".join(bits) + ")"
+    return repr(fv)
+
+
+def _reference_content_key(ts) -> str:
+    """The two-pass renderer content_key must keep agreeing with."""
+    def feats(u):
+        return sorted(u.features, key=lambda kv: kv[0])
+
+    blind_order = sorted(ts.units, key=lambda u: (
+        _GEN.match(u.name) and "~" or u.name,
+        ";".join(f"{k}={_blind(v)}" for k, v in feats(u))))
+    var_order, gen_order = {}, {}
+
+    def walk(fv):
+        if isinstance(fv, Var):
+            var_order.setdefault(fv.name, len(var_order))
+        elif isinstance(fv, Sym):
+            if _GEN.match(fv.name):
+                gen_order.setdefault(fv.name, len(gen_order))
+        elif isinstance(fv, ValueSet):
+            for m in sorted(fv, key=_blind):
+                walk(m)
+        elif isinstance(fv, Struct):
+            for _, v in fv.fields:
+                walk(v)
+        elif isinstance(fv, Compound):
+            for a in fv.args:
+                walk(a)
+            for _, v in fv.kwargs:
+                walk(v)
+
+    for u in blind_order:
+        if _GEN.match(u.name):
+            gen_order.setdefault(u.name, len(gen_order))
+        for _, v in feats(u):
+            walk(v)
+
+    def render(fv):
+        if isinstance(fv, Var):
+            return f"?v{var_order[fv.name]}"
+        if isinstance(fv, Sym) and fv.name in gen_order:
+            return f"g{gen_order[fv.name]}"
+        if isinstance(fv, ValueSet):
+            return "{" + ",".join(sorted(render(m) for m in fv)) + "}"
+        if isinstance(fv, Struct):
+            return "(" + " ".join(f"{k}={render(v)}" for k, v in fv.fields) + ")"
+        if isinstance(fv, Compound):
+            bits = [fv.name] + [render(a) for a in fv.args]
+            bits += [f":{k}={render(v)}" for k, v in fv.kwargs]
+            return "(" + " ".join(bits) + ")"
+        return repr(fv)
+
+    parts = []
+    for u in blind_order:
+        name = f"g{gen_order[u.name]}" if u.name in gen_order else u.name
+        body = ";".join(f"{k}={render(v)}" for k, v in feats(u))
+        parts.append(f"{name}[{body}]")
+    return "|".join(sorted(parts))
+
+
+@pytest.mark.parametrize("sentence", SEARCH_SENTENCES)
+def test_content_key_matches_reference_renderer(grammar, sentence):
+    states = _reached_states(grammar, sentence)
+    for ts in states:
+        assert ts.content_key() == _reference_content_key(ts)
+    assert len({ts.content_key() for ts in states}) > 1
+
+
+def test_content_key_numbers_a_hand_built_state_like_the_reference():
+    # set members are walked in name-blind order (?a before ?b), and a unit
+    # without variables still numbers generated names state-wide (unit-3 is
+    # the second one met)
+    meaning = ValueSet([Compound("slot", (Var("b"), Sym("unit-7")), ()),
+                        Compound("action", (Var("a"),), ())])
+    ts = TransientStructure((
+        Unit("root"), Unit("b", (("np", Sym("unit-3")),)),
+        Unit("a", (("np", Sym("unit-7")),)),
+        Unit("unit-7", (("meaning", meaning),)), Unit("unit-3")))
+    key = ts.content_key()
+    assert key == _reference_content_key(ts)
+    assert "(action ?v0)" in key and "b[np=g1]" in key
+
+
+def _rebuilt(ts):
+    """ts with every Unit a new object, so no per-unit cache carries over."""
+    units = tuple(Unit(u.name, u.features) for u in ts.units)
+    return TransientStructure(units, ts.applied, ts.consumed, ts.counter)
+
+
+@pytest.mark.parametrize("sentence", SEARCH_SENTENCES)
+def test_cached_match_equals_uncached_match(grammar, sentence):
+    for ts in _reached_states(grammar, sentence):
+        copy = _rebuilt(ts)
+        for cxn in grammar.candidates(ts):
+            assert match(cxn.conditional, ts, grammar.procs) == \
+                match(cxn.conditional, copy, grammar.procs), cxn.name
+
+
+def test_cached_match_follows_root_form_changes():
+    # the "balls" unit exists before the lemma fact that `ball-cat` needs
+    # reaches the root, so a first-unit match kept from that state is stale
+    grammar = Grammar(*parse_grammar("""
+    (cxn plural-ball :kind lemmatization :score 1/2
+      (conditional (?t (form (string ?t "balls"))))
+      (contributing (root (form (lemma ?t "ball")))))
+    (cxn balls-noun :kind lexical :score 1/2
+      (conditional (?t (form (string ?t "balls"))))
+      (contributing (?t (lex-class noun))))
+    (cxn ball-cat :kind lexical :score 1/2
+      (conditional (?t (lex-class noun) (form (lemma ?t "ball"))))
+      (contributing (?t (cat ball))))
+    """))
+    states = _reached_states(grammar, "balls")
+    ball_cat = grammar.by_name["ball-cat"]
+    for ts in states:
+        for cxn in grammar.constructions:
+            assert match(cxn.conditional, ts, grammar.procs) == \
+                match(cxn.conditional, _rebuilt(ts), grammar.procs), cxn.name
+    late = [ts for ts in states if grammar_module.applied_names(ts)[:2]
+            == ("balls-noun", "plural-ball")]
+    assert late and match(ball_cat.conditional, late[0], grammar.procs)
 
 
 def test_almond_search_stays_within_match_budget(grammar, ontology,
                                                  data_dir, monkeypatch):
-    # machine-independent guard against losing the anchor pruning
-    calls = itertools.count()
-    match = grammar_module.match
+    # machine-independent guard against losing the anchor pruning (match
+    # calls) and the per-unit reuse of match work (unify calls)
+    calls, unify_calls = itertools.count(), itertools.count()
+    counted_match, unify = grammar_module.match, features_module.unify
 
     def counting(*args, **kwargs):
         next(calls)
-        return match(*args, **kwargs)
+        return counted_match(*args, **kwargs)
+
+    def counting_unify(*args, **kwargs):
+        next(unify_calls)
+        return unify(*args, **kwargs)
 
     monkeypatch.setattr(grammar_module, "match", counting)
+    monkeypatch.setattr(features_module, "unify", counting_unify)
     ks, config = fresh_kitchen()
     document = load_recipe(data_dir / "recipes" / f"{ALMOND}.txt")
     run_recipe(document, grammar, ontology, ks, config)
     assert next(calls) <= 2500
+    assert next(unify_calls) <= 12000
+
+
+def test_comprehension_does_not_keep_the_grammar_alive(ontology, data_dir):
+    # per-unit caches must not pin a grammar through a process-wide table
+    fresh = load_grammar(data_dir / "grammar.cxn", ontology)
+    result = fresh.comprehend("Add the white sugar and the almond flour")
+    assert result.succeeded
+    refs = [weakref.ref(x) for x in (fresh, fresh.procs, *fresh.constructions)]
+    del fresh, result
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == []
+
+
+def test_state_cap_is_reported(grammar, ontology, almond_result,
+                               vanilla_result, monkeypatch):
+    assert grammar.comprehend("225 g butter", max_states=5).truncated
+    assert not grammar.comprehend("225 g butter").truncated
+    for result in (almond_result, vanilla_result):
+        assert not any(step.truncated for step in result.steps)
+    monkeypatch.setattr(grammar, "comprehend", functools.partial(
+        Grammar.comprehend, grammar, max_states=5))
+    ks, config = fresh_kitchen()
+    session = CookingSession(grammar, ontology, ks, config)
+    with pytest.raises(UnderstandingFailure, match="state cap"):
+        session.run_step(0, "225 g butter")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from souschef import KitchenSimulator, SimulationError, content_hash, initial_kitchen
-from souschef.features import Num, Struct, Sym, ValueSet
+from souschef.features import Num, Struct, Sym
 
 
 @pytest.fixture()

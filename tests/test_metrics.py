@@ -10,7 +10,7 @@ from souschef import (
     plan_triples, recipe_execution_time, smatch_exact, smatch_plans,
     smatch_score,
 )
-from souschef.features import Num, Sym, ValueSet, Var
+from souschef.features import Num, Sym, Var
 
 
 def call(cid, primitive, **slots):

@@ -11,7 +11,7 @@ from souschef import (
     expand_composites, find_recurrent_pairs, load_plan, plan_from_json,
     plan_to_json, verify_direction,
 )
-from souschef.features import Num, Sym, ValueSet, Var
+from souschef.features import Num, Sym, Var
 from souschef.plans import inline
 from conftest import DATA, fresh_kitchen
 
