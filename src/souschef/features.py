@@ -16,9 +16,11 @@ unit a bag of feature/value pairs. Values are a small closed vocabulary:
 ``match`` unifies a pattern (a construction's conditional pole) against a
 transient structure one-directionally and returns every binding set. Form
 facts (``string``, ``lemma``, ``meets`` ...) live on the ``root`` unit only:
-the initial structure puts them there and a grammar may contribute ``form``
-to ``root`` alone, so every pattern unit's form facts match against the
-root's form set.
+the initial structure puts them there and only a lemmatization may
+contribute ``form``, to ``root`` alone, so every pattern unit's form facts
+match against the root's form set. The lemmatizations run before the
+search, so the root stays fixed during it: no search step changes its form
+facts, and the bundled grammar gives ``root`` nothing else.
 ``merge`` overlays a contributing pole under one binding set, unioning value
 sets and failing loudly on scalar conflicts. Both are pure.
 
@@ -36,7 +38,8 @@ many search states share it:
 * ``Unit.first_matches`` holds, per first pattern unit of a conditional
   pole, what ``_match_unit`` returned for this unit (on the root, for the
   form-only leg). An entry is valid only while the form pool and the
-  procedure registry it was computed with are the same objects.
+  procedure registry it was computed with are the same objects, as they
+  are within a search; the check guards direct ``match`` callers.
 """
 
 from __future__ import annotations
@@ -1016,38 +1019,11 @@ def _scalars_equal(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Convenience constructors used across the package and the tests
-
-
-def sym(name: str) -> Sym:
-    return Sym(name)
-
-
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def num(value, unit: Optional[str] = None) -> Num:
-    return Num(Fraction(value), unit)
-
-
-def text(s: str) -> Text:
-    return Text(s)
+# Construction and renaming helpers
 
 
 def fact(name: str, *args, **kwargs) -> Compound:
     return Compound(name, tuple(args), tuple(kwargs.items()))
-
-
-def rename_fresh(units: Iterable[PatternUnit], known: set[str],
-                 counter: Iterator[int]) -> list[PatternUnit]:
-    """Rename every variable not in `known` to a fresh name (per application).
-
-    Variables are numbered from `counter` in ``variables_in_order``.
-    """
-    units = list(units)
-    names = [n for n in variables_in_order(units) if n not in known]
-    return rename_units(units, fresh_mapping(names, counter))
 
 
 def fresh_mapping(names: Iterable[str], numbers: Iterable[int]) -> dict:

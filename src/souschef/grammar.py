@@ -2,10 +2,10 @@
 
 A grammar is an ordered inventory of constructions, each a conditional pole
 (matched against the transient structure) and a contributing pole (merged
-into it). Comprehending an utterance is a search over construction
-applications; the goal is a state no construction can change in which every
-content token has been consumed. The winning state's meaning predicates are
-read off into a plan fragment.
+into it). Comprehending an utterance applies the lemmatizations once, then
+searches over the other constructions' applications; the goal is a state no
+construction can change in which every content token has been consumed. The
+winning state's meaning predicates are read off into a plan fragment.
 
 Grammar file syntax (s-expressions, ';' comments):
 
@@ -25,10 +25,10 @@ is a compound term; compounds named after registered procedures evaluate
 during matching and merging (procedural attachment). A variable name may
 not contain '~', which marks the fresh variables of comprehension.
 
-Form facts live on the ``root`` unit only. A contributing pole may give
-``form`` to ``root`` and to no other unit (the lemmatizations add
-``(lemma ?t "...")`` there); a grammar that does otherwise fails to load
-with GrammarSyntaxError.
+Form facts live on the ``root`` unit only. Only a lemmatization may
+contribute ``form``; it contributes ``form`` to ``root`` and nothing else,
+and its conditional pole holds only ``form`` and ``guard`` features. A
+grammar that does otherwise fails to load with GrammarSyntaxError.
 """
 
 from __future__ import annotations
@@ -308,6 +308,7 @@ def _parse_cxn(node: _Node) -> Construction:
     name = items[1].value
     kind, score = None, None
     poles: dict[str, tuple] = {}
+    units = []  # (pole, pattern unit, line) of every pole unit
     k = 2
     while k < len(items):
         it = items[k]
@@ -331,13 +332,8 @@ def _parse_cxn(node: _Node) -> Construction:
             if pole in poles:
                 raise GrammarSyntaxError(f"duplicate {pole} pole", line=it.line)
             poles[pole] = tuple(_parse_pattern_unit(u) for u in it.value[1:])
-            if pole == "contributing":
-                for u, pu in zip(it.value[1:], poles[pole]):
-                    if pu.name != Sym(ROOT) \
-                            and any(f == FORM_FEATURE for f, _ in pu.features):
-                        raise GrammarSyntaxError(
-                            f"construction {name}: form may be contributed "
-                            f"only to root", line=u.line)
+            units += [(pole, pu, u.line)
+                      for pu, u in zip(poles[pole], it.value[1:])]
             k += 1
         else:
             raise GrammarSyntaxError(
@@ -355,6 +351,20 @@ def _parse_cxn(node: _Node) -> Construction:
     if "contributing" not in poles or not poles["contributing"]:
         raise GrammarSyntaxError(
             f"construction {name}: missing contributing pole", line=node.line)
+    lemmatization = kind == "lemmatization"
+    for pole, pu, line in units:
+        features = {f for f, _ in pu.features}
+        if pole == "conditional":
+            ok = not lemmatization or features <= {FORM_FEATURE, GUARD_FEATURE}
+        elif lemmatization:
+            ok = pu.name == Sym(ROOT) and features == {FORM_FEATURE}
+        else:
+            ok = FORM_FEATURE not in features
+        if not ok:
+            raise GrammarSyntaxError(
+                f"construction {name}: only a lemmatization may contribute "
+                f"form; it gives root only form and reads only form and "
+                f"guard features", line=line)
     return Construction(name, kind, score,
                         poles["conditional"], poles["contributing"])
 
@@ -423,7 +433,6 @@ class ComprehensionResult:
     structure: TransientStructure
     applied: tuple            # construction names in application order
     score: Fraction
-    tokens: list
     unresolved_tokens: list   # Token objects never consumed
     succeeded: bool
     truncated: bool           # stopped at max_states with states unexpanded
@@ -500,12 +509,6 @@ def construction_anchors(cxn: Construction, procs: ProcRegistry) -> frozenset:
     return frozenset(out)
 
 
-def form_anchors(ts: TransientStructure) -> frozenset:
-    """(fact name, text) of every literal-ended form fact of the root."""
-    anchors = (_anchor(f) for f in facts_of(ts.root.get(FORM_FEATURE)))
-    return frozenset(a for a in anchors if a is not None)
-
-
 def applied_names(ts: TransientStructure) -> tuple:
     return tuple(inst.split("@", 1)[0] for inst in ts.applied)
 
@@ -526,8 +529,9 @@ class Grammar:
                         for c in self.constructions}
 
     def candidates(self, ts: TransientStructure) -> list:
-        """Constructions whose anchors are all present in ts, in order."""
-        present = form_anchors(ts)
+        """Constructions whose anchors all occur among the root's form facts
+        in ts, in order."""
+        present = {_anchor(f) for f in facts_of(ts.root.get(FORM_FEATURE))}
         return [c for c in self.constructions
                 if self.anchors[c.name] <= present]
 
@@ -541,21 +545,26 @@ class Grammar:
         applications). Without a covering state the closest terminal state is
         returned with its unconsumed tokens listed.
 
-        Each state tries only its candidate constructions: those whose
-        anchors (the literal string/lemma texts of their conditional form
-        facts) all occur among the root's form facts. This pruning is exact.
-        Every form fact of a conditional pole must unify with a form fact of
-        the root, and a text literal unifies only with an equal text, so a
-        construction with an absent anchor has no match. Fresh variables are
-        numbered per call, so the result does not depend on earlier calls.
-        The search stops once it holds max_states states; the result is then
-        ``truncated`` when a state was left unexpanded.
+        The lemmatizations run first, once, to a fixpoint; their applications
+        stay in ``applied`` and the score. The search then starts from that
+        state without them, trying only the candidate constructions, computed
+        once: those whose anchors (the literal string/lemma texts of their
+        conditional form facts) all occur among the root's form facts. This
+        is exact: under the rule ``_parse_cxn`` enforces, no search step
+        changes form facts or can enable a lemmatization, form matches are
+        by subset, and a construction with an absent anchor has no match (a
+        text literal unifies only with an equal text).
+        Fresh variables are numbered per call, so the result does not depend
+        on earlier calls. The search stops once it holds max_states states;
+        the result is then ``truncated`` when a state was left unexpanded.
         """
         tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
-        ts0 = initialize_transient(tokens, accessible)
         content = {t.token_id for t in tokens
                    if t.word not in self.function_words}
         counter = itertools.count(1)
+        ts0 = self._lemmatize(initialize_transient(tokens, accessible), counter)
+        candidates = [c for c in self.candidates(ts0)
+                      if c.kind != "lemmatization"]
 
         states: dict[str, TransientStructure] = {}
         children_cache: dict[str, list] = {}
@@ -569,7 +578,7 @@ class Grammar:
             if key in children_cache:
                 continue
             children = []
-            for cxn in self.candidates(ts):
+            for cxn in candidates:
                 for child in apply_construction(cxn, ts, self.procs, counter):
                     ck = child.content_key()
                     if ck == key:
@@ -600,11 +609,23 @@ class Grammar:
             structure=best,
             applied=applied_names(best),
             score=_path_score(self, best),
-            tokens=tokens,
             unresolved_tokens=unresolved,
             succeeded=bool(goals),
             truncated=truncated,
         )
+
+    def _lemmatize(self, ts: TransientStructure, counter) -> TransientStructure:
+        """ts with the lemmatizations applied to a fixpoint: each round takes
+        the first application, in grammar order, that adds a form fact."""
+        while True:
+            grown = next((child for cxn in self.candidates(ts)
+                          if cxn.kind == "lemmatization"
+                          for child in apply_construction(cxn, ts, self.procs,
+                                                          counter)
+                          if child.root != ts.root), None)
+            if grown is None:
+                return ts
+            ts = grown
 
     def _rank(self, ts: TransientStructure, content: set) -> tuple:
         missing = len(content - ts.consumed)
@@ -696,12 +717,13 @@ def extract_fragment(result: ComprehensionResult) -> PlanFragment:
             groups[g] = existing.union(ValueSet(members)) if existing \
                 else ValueSet(members)
 
-    def expand(term):
+    def expand(term):  # groups replaced by their members, flattened
         term = canon(term)
         if isinstance(term, Var) and term.name in groups:
-            return groups[term.name]
+            term = groups[term.name]
         if isinstance(term, ValueSet):
-            return ValueSet(expand(m) for m in term)
+            return ValueSet(x for m in map(expand, term)
+                            for x in (m if isinstance(m, ValueSet) else (m,)))
         return term
 
     fragment = PlanFragment()

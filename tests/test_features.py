@@ -8,7 +8,7 @@ from souschef import MergeFailure, StructuralError
 from souschef.features import (
     Bindings, Compound, MatchResult, Num, PatternUnit, Struct, Sym, Text,
     TransientStructure, Unit, ValueSet, Var, match, merge, normalize_num,
-    _unify_subset, nums_equal, rename_fresh, unify, vars_of,
+    _unify_subset, nums_equal, unify, vars_of,
 )
 
 
@@ -166,17 +166,6 @@ def test_match_requires_every_unit():
         PatternUnit(Var("v"), (("lex-class", Sym("noun")),)),
     ]
     assert match(pattern, ts) == []
-
-
-def test_rename_fresh_respects_known_names():
-    units = [PatternUnit(Var("np"), (("referent", Var("x")),
-                                     ("anchor", Var("keep"))))]
-    renamed = rename_fresh(units, {"keep"}, iter(range(100)))
-    feats = dict(renamed[0].features)
-    assert feats["anchor"] == Var("keep")
-    assert isinstance(feats["referent"], Var)
-    assert feats["referent"].name != "x"
-    assert feats["referent"].name.startswith("x~")
 
 
 def test_value_set_match_screens_targets_like_unify():

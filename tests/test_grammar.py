@@ -21,7 +21,7 @@ from souschef.features import (
 )
 from souschef.grammar import split_sentences
 from souschef.session import CookingSession
-from conftest import ALMOND, fresh_kitchen
+from conftest import ALMOND, VANILLA, fresh_kitchen
 
 
 def test_tokenize_strips_punctuation_keeps_hyphens():
@@ -81,13 +81,29 @@ def test_parse_grammar_rejects_unknown_guard_procedure():
 
 
 def test_parse_grammar_rejects_form_contributed_off_root():
-    with pytest.raises(GrammarSyntaxError) as err:
-        parse_grammar("""
+    # only a lemmatization changes form facts, only on root, and it reads
+    # nothing the search changes; each offending unit is reported by line
+    for text in ("""
         (cxn plural :kind lemmatization :score 1/2
           (conditional (?t (form (string ?t "balls"))))
           (contributing (?t (form (lemma ?t "ball")))))
-        """)
-    assert err.value.line == 4
+        """, """
+        (cxn plural :kind lexical :score 1/2
+          (conditional (?t (form (string ?t "balls"))))
+          (contributing (root (form (lemma ?t "ball")))))
+        """, """
+        (cxn plural :kind lemmatization :score 1/2
+          (conditional (?t (form (string ?t "balls")))
+                       (?u (lex-class noun)))
+          (contributing (root (form (lemma ?t "ball")))))
+        """, """
+        (cxn plural :kind lemmatization :score 1/2
+          (conditional (?t (form (string ?t "balls"))))
+          (contributing (root (form (lemma ?t "ball")) (cat ball))))
+        """):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_grammar(text)
+        assert err.value.line == 4, text
 
 
 def test_grammar_variables_may_not_contain_tilde():
@@ -262,6 +278,83 @@ def test_anchor_prefilter_skips_only_constructions_that_cannot_apply(
     assert skipped > 0
 
 
+def _single_layer_winner(grammar, utterance, accessible=(),
+                         max_states=4000) -> tuple:
+    """(content_key, score, unresolved token ids, sorted applied) of the
+    search that interleaves the lemmatizations with every other
+    construction and reads the candidates of each state: the reference
+    the layered search must agree with."""
+    tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
+    ts0 = grammar_module.initialize_transient(tokens, accessible)
+    content = {t.token_id for t in tokens
+               if t.word not in grammar.function_words}
+    counter = itertools.count(1)
+
+    states, children_cache, terminal = {}, {}, []
+    k0 = ts0.content_key()
+    states[k0] = ts0
+    work = [k0]
+    while work and len(states) < max_states:
+        key = work.pop()
+        ts = states[key]
+        if key in children_cache:
+            continue
+        children = []
+        for cxn in grammar.candidates(ts):
+            for child in grammar_module.apply_construction(
+                    cxn, ts, grammar.procs, counter):
+                ck = child.content_key()
+                if ck == key:
+                    continue
+                children.append(ck)
+                if ck not in states:
+                    states[ck] = child
+                    work.append(ck)
+                elif grammar_module._better_path(child, states[ck]):
+                    states[ck] = child
+                    children_cache.pop(ck, None)
+                    work.append(ck)
+        children_cache[key] = children
+        if not children:
+            terminal.append(key)
+    if not terminal:
+        terminal = list(states)
+    goals = [k for k in terminal if content <= states[k].consumed]
+    ranked = sorted(goals or terminal,
+                    key=lambda k: grammar._rank(states[k], content))
+    best = states[ranked[0]]
+    return (best.content_key(), grammar_module._path_score(grammar, best),
+            [t.token_id for t in tokens if t.token_id in content - best.consumed],
+            sorted(grammar_module.applied_names(best)))
+
+
+def test_layered_search_picks_the_single_layer_winner(grammar, ontology,
+                                                      data_dir, monkeypatch):
+    # every step of both bundled recipes, in their own discourse
+    compared = []
+    layered = grammar.comprehend
+
+    def both(utterance, accessible=(), max_states=4000):
+        result = layered(utterance, accessible, max_states)
+        got = (result.structure.content_key(), result.score,
+               [t.token_id for t in result.unresolved_tokens],
+               sorted(result.applied))
+        assert got == _single_layer_winner(grammar, utterance, accessible,
+                                           max_states), utterance
+        compared.append(any(grammar.by_name[n].kind == "lemmatization"
+                            for n in result.applied))
+        return result
+
+    monkeypatch.setattr(grammar, "comprehend", both)
+    for name in (ALMOND, VANILLA):
+        ks, config = fresh_kitchen()
+        run_recipe(load_recipe(data_dir / "recipes" / f"{name}.txt"),
+                   grammar, ontology, ks, config)
+    for sentence in SEARCH_SENTENCES:
+        grammar.comprehend(sentence)
+    assert len(compared) > 40 and sum(compared) >= 10
+
+
 _GEN = re.compile(r"^unit-\d+$")
 
 
@@ -378,7 +471,9 @@ def test_cached_match_equals_uncached_match(grammar, sentence):
 
 def test_cached_match_follows_root_form_changes():
     # the "balls" unit exists before the lemma fact that `ball-cat` needs
-    # reaches the root, so a first-unit match kept from that state is stale
+    # reaches the root, so a first-unit match kept from that state is stale;
+    # the search lemmatizes first and never builds that order, so it is
+    # built here with direct applications
     grammar = Grammar(*parse_grammar("""
     (cxn plural-ball :kind lemmatization :score 1/2
       (conditional (?t (form (string ?t "balls"))))
@@ -390,15 +485,20 @@ def test_cached_match_follows_root_form_changes():
       (conditional (?t (lex-class noun) (form (lemma ?t "ball"))))
       (contributing (?t (cat ball))))
     """))
-    states = _reached_states(grammar, "balls")
+    counter = itertools.count(1)
+    ts0 = grammar_module.initialize_transient(tokenize("balls"))
+    (early,) = grammar_module.apply_construction(
+        grammar.by_name["balls-noun"], ts0, grammar.procs, counter)
+    late = grammar_module.apply_construction(
+        grammar.by_name["plural-ball"], early, grammar.procs, counter)[0]
     ball_cat = grammar.by_name["ball-cat"]
-    for ts in states:
+    for ts in (ts0, early, late):
         for cxn in grammar.constructions:
             assert match(cxn.conditional, ts, grammar.procs) == \
                 match(cxn.conditional, _rebuilt(ts), grammar.procs), cxn.name
-    late = [ts for ts in states if grammar_module.applied_names(ts)[:2]
-            == ("balls-noun", "plural-ball")]
-    assert late and match(ball_cat.conditional, late[0], grammar.procs)
+    assert grammar_module.applied_names(late) == ("balls-noun", "plural-ball")
+    assert not match(ball_cat.conditional, early, grammar.procs)
+    assert match(ball_cat.conditional, late, grammar.procs)
 
 
 def test_almond_search_stays_within_match_budget(grammar, ontology,

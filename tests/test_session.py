@@ -1,6 +1,8 @@
 """Recipe documents and the instruction-by-instruction understanding loop."""
 
+import importlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from souschef import (
     CookingSession, InputError, UnderstandingFailure, load_recipe,
     parse_recipe, run_recipe, save_plan,
 )
+import souschef.plans as plans_module
 from souschef.features import Num, Var
 from souschef.narrative import (
     SOURCE_LANGUAGE, SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION,
@@ -183,3 +186,35 @@ def test_bundled_analyses_are_unchanged(almond_result, vanilla_result):
                 "unresolved_tokens": list(s.unresolved_tokens)}
                for s in result.steps]
         assert got == expected[name], name
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workload module, imported read-only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                               / "perfbench"))
+        return importlib.import_module("workloads")
+
+
+#: k = 4 in the "and the" form takes seconds and is left out
+CONJUNCTS = [(1, False), (1, True), (2, False), (2, True), (3, False),
+             (3, True), (4, False)]
+
+
+@pytest.mark.parametrize("k, repeat", CONJUNCTS)
+def test_add_lists_every_conjunct_as_transfer_source(
+        grammar, ontology, workloads, k, repeat):
+    # "Add the A and B ..." in a primed discourse: a nested group must not
+    # leave its own variable in the source slot
+    names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract")
+    lines, ((_, _, sentence, added),) = workloads.probe_round(
+        random.Random(k), names, ((k, repeat),))
+    ks, config = fresh_kitchen()
+    session = CookingSession(grammar, ontology, ks, config)
+    for i, line in enumerate(lines):
+        session.run_step(i, line)
+    report = session.run_step(len(lines), sentence)
+    assert not report.unresolved_tokens
+    concepts = workloads.transfer_concepts(plans_module, session, report)
+    assert sorted(concepts) == sorted(added), sentence
