@@ -240,8 +240,15 @@ def nums_equal(a: Num, b: Num) -> bool:
 # Variables and substitution
 
 
+_NO_VARS: KeysView[str] = {}.keys()
+
+
 def vars_of(fv: FeatureValue) -> KeysView[str]:
     """Variable names in fv, set-like, in first-occurrence order."""
+    if isinstance(fv, Var):
+        return {fv.name: None}.keys()
+    if not isinstance(fv, (ValueSet, Struct, Compound)):
+        return _NO_VARS  # a constant: most plan slots, walked per call
     out: dict[str, None] = {}
     _collect_vars(fv, out)
     return out.keys()

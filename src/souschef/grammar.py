@@ -48,10 +48,10 @@ from .features import (
     FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Compound, Num, PatternUnit,
     ProcRegistry, Struct, Sym, Text, TransientStructure, Unit, ValueSet, Var,
     fact, facts_of, fresh_mapping, match, merge, rename_units, rename_vars,
-    variables_in_order,
+    variables_in_order, vars_of,
 )
 from .memory import make_registry
-from .plans import PRIMITIVES, PlanCall, PlanFragment, _term_vars
+from .plans import PRIMITIVES, PlanCall, PlanFragment
 
 CONSTRUCTION_KINDS = (
     "lemmatization", "lexical", "idiomatic", "semi-schematic", "abstract",
@@ -805,7 +805,7 @@ def _count_dangling(ts: TransientStructure) -> int:
                 if isinstance(a, Var):
                     groups[g].add(aliases.find(a.name))
         elif f.name == "slot" and len(f.args) == 3:
-            for v in _term_vars(f.args[2]):
+            for v in vars_of(f.args[2]):
                 used.add(aliases.find(v))
         elif f.name in ("discourse", "locate") and f.args \
                 and isinstance(f.args[0], Var):

@@ -294,47 +294,10 @@ class _Builder:
 # ---------------------------------------------------------------------------
 # Initial kitchens
 
-DEFAULT_SPEC: dict = {
-    "locations": {
-        "pantry": [
-            {"kind": "white-sugar", "grams": 500},
-            {"kind": "wheat-flour", "grams": 1000},
-            {"kind": "almond-flour", "grams": 300},
-            {"kind": "powdered-sugar", "grams": 200},
-            {"kind": "almond-extract", "grams": 50},
-            {"kind": "vanilla-extract", "grams": 50},
-        ],
-        "fridge": [
-            {"kind": "butter", "grams": 500},
-        ],
-        "freezer": [],
-        "counter-top": [],
-        "oven": [],
-        "tool-drawer": [
-            {"kind": "medium-bowl", "count": 6, "container": True},
-            {"kind": "small-bowl", "count": 3, "container": True},
-            {"kind": "large-bowl", "count": 2, "container": True},
-            {"kind": "baking-sheet", "count": 2, "container": True},
-            {"kind": "plate", "count": 3, "container": True},
-            {"kind": "parchment-paper", "count": 5},
-            {"kind": "mixer", "count": 1},
-            {"kind": "wooden-spoon", "count": 2},
-            {"kind": "tablespoon", "count": 2},
-            {"kind": "teaspoon", "count": 2},
-        ],
-    },
-}
-
 
 def _merge_config(overrides: Optional[dict]) -> dict:
-    config = {
-        "portion-grams": dict(DEFAULT_CONFIG["portion-grams"]),
-        "durations": dict(DEFAULT_DURATIONS),
-        "burn-factor": DEFAULT_CONFIG["burn-factor"],
-        "ambient-temperature": DEFAULT_CONFIG["ambient-temperature"],
-        "melt-temperature": DEFAULT_CONFIG["melt-temperature"],
-        "default-cool-minutes": DEFAULT_CONFIG["default-cool-minutes"],
-    }
+    config = {k: dict(v) if isinstance(v, dict) else v
+              for k, v in DEFAULT_CONFIG.items()}
     for key, value in (overrides or {}).items():
         if isinstance(value, dict) and isinstance(config.get(key), dict):
             config[key].update(value)
@@ -344,8 +307,10 @@ def _merge_config(overrides: Optional[dict]) -> dict:
 
 
 def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
-    """Build the starting state (and config) from a spec dict or the default."""
-    spec = spec if spec is not None else DEFAULT_SPEC
+    """Build the starting state (and config) from a spec dict or, without
+    one, the bundled kitchen."""
+    if spec is None:
+        return load_kitchen(Path(__file__).parent / "data" / "kitchen.json")
     loc_spec = spec.get("locations", {})
     for name in loc_spec:
         if name not in LOCATIONS:

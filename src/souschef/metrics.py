@@ -24,9 +24,9 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import InputError, SizeExceededError
-from .features import Num, Struct, Sym, Text, ValueSet, Var
+from .features import Num, Struct, Sym, Text, ValueSet, Var, vars_of
 from .kitchen import KitchenState
-from .plans import PlanNetwork, call_outputs, _term_vars
+from .plans import PlanNetwork, input_slots
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +68,8 @@ def plan_triples(network: PlanNetwork) -> TripleSet:
     relations = []
     for c in network.calls:
         instances.append((c.call_id, c.primitive))
-        outputs = call_outputs(c)
-        for role, term in c.slots:
-            if role in outputs:
-                continue
-            vars_in = _term_vars(term)
+        for role, term in input_slots(c):
+            vars_in = vars_of(term)
             if not vars_in:
                 attributes.append((c.call_id, role, _render_const(term)))
                 continue

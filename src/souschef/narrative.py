@@ -117,9 +117,6 @@ class IntegrativeNarrativeNetwork:
     def open_questions(self) -> list:
         return [q for q in self.questions if q.status == "open"]
 
-    def answered_by(self, source: str) -> list:
-        return [q for q in self.questions if q.source == source]
-
     def closure_status(self) -> dict:
         answered = sum(1 for q in self.questions if q.status == "answered")
         by_source = {s: 0 for s in KNOWLEDGE_SOURCES}

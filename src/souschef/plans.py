@@ -6,7 +6,13 @@ the knowledge sources (discourse memory, ontology defaults, simulator
 lookups) and leaves output slots for execution to compute. Execution is
 data-flow driven: any call whose inputs are bound may run; the simulated
 clock advances along the critical path, because passive operations (oven
-work, cooling) hand control back to the agent immediately.
+work, cooling) hand control back to the agent immediately. Chunking stores
+recurrent subplans as composite operations that expand back into the same
+calls.
+
+Which slots of a call are outputs is decided in one place, `call_outputs`;
+`input_slots` and `output_vars` walk a call's slots on that rule, and terms
+are walked with `features.vars_of` and `features.rename_vars`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from .errors import (
     DataflowDeadlock, DuplicateNameError, InputError, StructuralError,
     UnderstandingFailure, UnsupportedDirection,
 )
-from .features import Bindings, Num, Sym, ValueSet, Var, normalize_num
+from .features import (
+    Bindings, Num, Sym, ValueSet, Var, normalize_num, rename_vars, vars_of,
+)
 from .kitchen import (
     ExecutionTrace, KitchenSimulator, KitchenState, TraceRecord,
     content_hash, slot_values_to_json,
@@ -49,10 +57,6 @@ class PrimitiveSpec:
     def roles(self) -> tuple:
         return tuple(r for r, _ in self.slots)
 
-    @property
-    def inputs(self) -> tuple:
-        return tuple(r for r, _ in self.slots if r not in self.outputs)
-
     def slot_type(self, role: str) -> Optional[str]:
         for r, t in self.slots:
             if r == role:
@@ -72,11 +76,6 @@ class PrimitiveSpec:
             if t == KS and r in self.outputs:
                 return r
         return None
-
-    @property
-    def directions(self) -> tuple:
-        """Legal input configurations; the canonical forward one comes first."""
-        return (frozenset(self.inputs),) + tuple(frozenset(s) for s in self.inverse)
 
 
 def _spec(name, slots, outputs, optional=(), inverse=()):
@@ -191,19 +190,11 @@ class PrimitiveRegistry:
             raise InputError(f"unknown primitive: {name}")
         return self._specs[name]
 
-    def knows(self, name: str) -> bool:
-        return name in self._specs
-
     def names(self) -> tuple:
         return tuple(sorted(self._specs))
 
 
-def register_primitives() -> PrimitiveRegistry:
-    """Fresh registry holding the core inventory."""
-    return PrimitiveRegistry()
-
-
-PRIMITIVES = register_primitives()
+PRIMITIVES = PrimitiveRegistry()
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +225,6 @@ class PlanCall:
             slots.append((role, term))
         return replace(self, slots=tuple(slots))
 
-    def slot_map(self) -> dict:
-        return dict(self.slots)
-
 
 @dataclass
 class PlanFragment:
@@ -248,14 +236,7 @@ class PlanFragment:
     unresolved_tokens: list = field(default_factory=list)
 
     def vars_produced(self) -> set[str]:
-        out = set()
-        for call in self.calls:
-            spec = PRIMITIVES.get(call.primitive)
-            for role in spec.outputs:
-                term = call.slot(role)
-                if isinstance(term, Var):
-                    out.add(term.name)
-        return out
+        return {v for call in self.calls for _, v in output_vars(call)}
 
 
 def call_outputs(call: PlanCall) -> frozenset:
@@ -263,6 +244,20 @@ def call_outputs(call: PlanCall) -> frozenset:
     if call.primitive.startswith("composite:"):
         return frozenset(r for r, _ in call.slots if r.startswith("out-"))
     return PRIMITIVES.get(call.primitive).outputs
+
+
+def input_slots(call: PlanCall) -> list:
+    """(role, term) of every input slot of the call, in slot order."""
+    outputs = call_outputs(call)
+    return [(r, t) for r, t in call.slots if r not in outputs]
+
+
+def output_vars(call: PlanCall) -> list:
+    """(role, variable name) of every output slot holding a variable, in
+    slot order."""
+    outputs = call_outputs(call)
+    return [(r, t.name) for r, t in call.slots
+            if r in outputs and isinstance(t, Var)]
 
 
 @dataclass
@@ -279,28 +274,18 @@ class PlanNetwork:
         """var name -> (call, role) that outputs it; validates single assignment."""
         out: dict[str, tuple] = {}
         for c in self.calls:
-            for role in call_outputs(c):
-                term = c.slot(role)
-                if isinstance(term, Var):
-                    if term.name in out:
-                        raise StructuralError(
-                            f"variable ?{term.name} produced twice")
-                    out[term.name] = (c, role)
+            for role, v in output_vars(c):
+                if v in out:
+                    raise StructuralError(f"variable ?{v} produced twice")
+                out[v] = (c, role)
         return out
 
     def consumers(self) -> list:
         """(consumer call, role, producer call) edges over shared variables."""
         prod = self.producers()
-        edges = []
-        for c in self.calls:
-            outputs = call_outputs(c)
-            for role, term in c.slots:
-                if role in outputs:
-                    continue
-                for v in _term_vars(term):
-                    if v in prod:
-                        edges.append((c, role, prod[v][0]))
-        return edges
+        return [(c, role, prod[v][0]) for c in self.calls
+                for role, term in input_slots(c)
+                for v in vars_of(term) if v in prod]
 
     def validate(self) -> None:
         seen = set()
@@ -331,27 +316,9 @@ class PlanNetwork:
     def open_input_slots(self) -> list:
         """Input slots whose variable no call produces (incomplete plan)."""
         prod = self.producers()
-        out = []
-        for c in self.calls:
-            outputs = call_outputs(c)
-            for role, term in c.slots:
-                if role in outputs:
-                    continue
-                for v in _term_vars(term):
-                    if v not in prod:
-                        out.append((c.call_id, role, v))
-        return out
-
-
-def _term_vars(term) -> list[str]:
-    if isinstance(term, Var):
-        return [term.name]
-    if isinstance(term, ValueSet):
-        out = []
-        for m in term:
-            out.extend(_term_vars(m))
-        return out
-    return []
+        return [(c.call_id, role, v) for c in self.calls
+                for role, term in input_slots(c)
+                for v in vars_of(term) if v not in prod]
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +371,21 @@ def normalize_fragment(fragment: PlanFragment, next_index) -> None:
 
 
 def _rename_fragment(fragment: PlanFragment, base: int) -> None:
-    canon: dict[str, str] = {}
-    names = [v for c in fragment.calls for _, t in c.slots
-             for v in _term_vars(t)]
+    canon: dict[str, Var] = {}
+    names = [v for c in fragment.calls for _, t in c.slots for v in vars_of(t)]
     names += list(fragment.discourse) + list(fragment.locate)
     for name in names:
         if name not in canon:
-            canon[name] = f"{name.split('~')[0]}~{base}-{len(canon)}"
+            canon[name] = Var(f"{name.split('~')[0]}~{base}-{len(canon)}")
     fragment.calls = [
-        replace(c, slots=tuple((r, _rename_term(t, canon)) for r, t in c.slots))
+        replace(c, slots=tuple((r, rename_vars(t, canon)) for r, t in c.slots))
         for c in fragment.calls]
     fragment.discourse = {
-        canon[v]: (cat, {k: _rename_term(x, canon) for k, x in props.items()})
+        canon[v].name: (cat, {k: rename_vars(x, canon)
+                              for k, x in props.items()})
         for v, (cat, props) in fragment.discourse.items()}
-    fragment.locate = {canon[v]: kind for v, kind in fragment.locate.items()}
+    fragment.locate = {canon[v].name: kind
+                       for v, kind in fragment.locate.items()}
 
 
 def classify_slots(fragment: PlanFragment, ontology,
@@ -447,7 +415,7 @@ def classify_slots(fragment: PlanFragment, ontology,
                                           "ontology-resolvable"))
                 # silent omission for defaultless optional slots
                 continue
-            term_vars = _term_vars(term)
+            term_vars = list(vars_of(term))
             if not term_vars:
                 out.append(SlotStatus(call.call_id, role, None, True, None))
                 continue
@@ -569,18 +537,18 @@ def _complete_slot(call, spec, role, term, fragment, node, ks, ontology,
             return None
         return _fill_default(call, spec, role, ontology)
 
-    if not [v for v in _term_vars(term) if v not in bound_vars]:
+    if not [v for v in vars_of(term) if v not in bound_vars]:
         return None
 
     changed = False
     resolved: list[SlotAnswer] = []
     combined_ids: list[int] = []
     while True:
-        open_vars = [v for v in _term_vars(term) if v not in bound_vars]
+        open_vars = [v for v in vars_of(term) if v not in bound_vars]
         progress = False
         for v in open_vars:
             if v in substitutions:
-                term = _substitute_var(term, v, substitutions[v])
+                term = rename_vars(term, {v: substitutions[v]})
                 changed = True
                 progress = True
                 break
@@ -595,7 +563,7 @@ def _complete_slot(call, spec, role, term, fragment, node, ks, ontology,
                         question_id=question_id(call.call_id, role))
                 value = Num(Fraction(found[0].serial))
                 substitutions[v] = value
-                term = _substitute_var(term, v, value)
+                term = rename_vars(term, {v: value})
                 combined_ids.append(found[0].serial)
                 resolved.append(SlotAnswer(call.call_id, role, v,
                                            SOURCE_SIMULATION, value))
@@ -618,7 +586,7 @@ def _complete_slot(call, spec, role, term, fragment, node, ks, ontology,
                 combined_ids.extend(resolution.ids)
                 value = _ids_term(resolution.ids, producer_of)
                 substitutions[v] = value
-                term = _substitute_var(term, v, value)
+                term = rename_vars(term, {v: value})
                 resolved.append(SlotAnswer(call.call_id, role, v, SOURCE_PDM,
                                            _ids_term(resolution.ids, {}),
                                            rank=resolution.rank,
@@ -684,30 +652,13 @@ def _ids_term(ids: tuple, producer_of: dict):
     return members
 
 
-def _substitute_var(term, name: str, value):
-    if isinstance(term, Var):
-        return value if term.name == name else term
-    if isinstance(term, ValueSet):
-        return ValueSet(_substitute_var(m, name, value) for m in term)
-    return term
-
-
 def _topological(calls: list) -> list:
     """Stable topological order over intra-fragment variable dependencies."""
-    produced: dict[str, PlanCall] = {}
-    for c in calls:
-        spec = PRIMITIVES.get(c.primitive)
-        for role in spec.outputs:
-            t = c.slot(role)
-            if isinstance(t, Var):
-                produced[t.name] = c
+    produced = {v: c for c in calls for _, v in output_vars(c)}
     deps: dict[str, set[str]] = {c.call_id: set() for c in calls}
     for c in calls:
-        spec = PRIMITIVES.get(c.primitive)
-        for role, term in c.slots:
-            if role in spec.outputs:
-                continue
-            for v in _term_vars(term):
+        for _, term in input_slots(c):
+            for v in vars_of(term):
                 p = produced.get(v)
                 if p is not None and p.call_id != c.call_id:
                     deps[c.call_id].add(p.call_id)
@@ -755,32 +706,14 @@ class Executor:
         self.var_ready: dict[str, Fraction] = {}
         self.entity_ready: dict[int, Fraction] = {}
 
-    # -- readiness ---------------------------------------------------------
+    # -- timing ------------------------------------------------------------
 
-    def _term_ready(self, term) -> bool:
-        for v in _term_vars(term):
-            if self.bindings.lookup(v) is None:
-                return False
-        return True
-
-    def _ready(self, call: PlanCall) -> bool:
-        spec = PRIMITIVES.get(call.primitive)
-        for role, term in call.slots:
-            if role in spec.outputs:
-                continue
-            if not self._term_ready(term):
-                return False
-        return True
-
-    def _start_time(self, call: PlanCall, values: dict) -> Fraction:
+    def _start_time(self, inputs: list, values: dict) -> Fraction:
         start = self.agent
-        spec = PRIMITIVES.get(call.primitive)
-        for role, term in call.slots:
-            if role in spec.outputs:
-                continue
-            for v in _term_vars(term):
+        for role, term in inputs:
+            for v in vars_of(term):
                 start = max(start, self.var_ready.get(v, Fraction(0)))
-            for serial in _serials_in(values.get(role)):
+            for serial in serials_in(values.get(role)):
                 start = max(start, self.entity_ready.get(serial, Fraction(0)))
         return start
 
@@ -788,25 +721,26 @@ class Executor:
 
     def run(self, calls: list) -> list:
         """Execute the given calls to completion; returns output answers."""
-        pending = list(calls)
+        # (call, its input variables); a call is ready once all are bound
+        pending = [(c, [v for _, t in input_slots(c) for v in vars_of(t)])
+                   for c in calls]
         answers = []
         while pending:
-            ready = [c for c in pending if self._ready(c)]
+            ready = [p for p in pending
+                     if all(self.bindings.lookup(v) is not None for v in p[1])]
             if not ready:
-                raise DataflowDeadlock([c.call_id for c in pending])
+                raise DataflowDeadlock([c.call_id for c, _ in pending])
             chosen = ready[0] if self.rng is None else self.rng.choice(ready)
             pending.remove(chosen)
-            answers.extend(self._run_call(chosen))
+            answers.extend(self._run_call(chosen[0]))
         return answers
 
     def _run_call(self, call: PlanCall) -> list:
         spec = PRIMITIVES.get(call.primitive)
-        values = {}
-        for role, term in call.slots:
-            if role in spec.outputs:
-                continue
-            values[role] = _flatten_sets(self.bindings.substitute(term))
-        start = self._start_time(call, values)
+        inputs = input_slots(call)
+        values = {role: _flatten_sets(self.bindings.substitute(term))
+                  for role, term in inputs}
+        start = self._start_time(inputs, values)
         before = self.state
 
         result = self.sim.apply(call.primitive, values, before, start=start,
@@ -818,10 +752,10 @@ class Executor:
 
         answers = []
         outputs_json = {}
+        out_vars = dict(output_vars(call))
         for role in spec.roles:
             if role not in spec.outputs:
                 continue
-            term = call.slot(role)
             if spec.slot_type(role) == KS:
                 value = Sym(f"ks:{self.state.state_id}")
                 ready_at = start if passive else end
@@ -831,15 +765,16 @@ class Executor:
             else:
                 continue
             outputs_json[role] = fv_to_json(value)
-            if isinstance(term, Var):
-                nb = self.bindings.bind(term.name, value)
+            name = out_vars.get(role)
+            if name is not None:
+                nb = self.bindings.bind(name, value)
                 if nb is None:
-                    raise StructuralError(f"occurs check on output ?{term.name}")
+                    raise StructuralError(f"occurs check on output ?{name}")
                 self.bindings = nb
-                self.var_ready[term.name] = ready_at
-                answers.append(SlotAnswer(call.call_id, role, term.name,
+                self.var_ready[name] = ready_at
+                answers.append(SlotAnswer(call.call_id, role, name,
                                           SOURCE_SIMULATION, value))
-            for serial in _serials_in(value):
+            for serial in serials_in(value):
                 self.entity_ready[serial] = max(
                     self.entity_ready.get(serial, Fraction(0)), end)
 
@@ -874,13 +809,14 @@ def _flatten_sets(value):
     return ValueSet(members)
 
 
-def _serials_in(value) -> list[int]:
+def serials_in(value) -> list[int]:
+    """Entity serials named by a value: unitless integers, also in sets."""
     if isinstance(value, Num) and value.unit is None and value.value.denominator == 1:
         return [int(value.value)]
     if isinstance(value, ValueSet):
         out = []
         for m in value:
-            out.extend(_serials_in(m))
+            out.extend(serials_in(m))
         return out
     return []
 
@@ -923,7 +859,7 @@ def verify_direction(primitive: str, values: dict, ks: KitchenState,
     """Check already-known outputs against the recipe's stated inputs."""
     spec = PRIMITIVES.get(primitive)
     known = frozenset(r for r in values if r in {s for s, _ in spec.slots})
-    usable = [d for d in spec.directions[1:] if d <= known]
+    usable = [d for d in spec.inverse if d <= known]
     if not usable:
         raise UnsupportedDirection(
             f"{primitive} declares no direction over {sorted(known)}")
@@ -935,7 +871,7 @@ def verify_direction(primitive: str, values: dict, ks: KitchenState,
         stated = quantity.value * normalize_num(
             Num(Fraction(1), unit.name if isinstance(unit, Sym) else str(unit)))[1]
         total = Fraction(0)
-        for serial in _serials_in(values["resultant"]):
+        for serial in serials_in(values["resultant"]):
             entity = ks.need(serial)
             for c, g in entity.composition:
                 if c == concept.name or (
@@ -957,7 +893,7 @@ def verify_direction(primitive: str, values: dict, ks: KitchenState,
             return VerificationReport("inconsistent", None, "unknown portion unit")
         per = Fraction(per)
         worst = Fraction(0)
-        for serial in _serials_in(values["portions"]):
+        for serial in serials_in(values["portions"]):
             entity = ks.need(serial)
             worst = max(worst, abs(entity.grams - per))
         if worst == 0:
@@ -984,25 +920,25 @@ class CompositeOperation:
 def _occurrence_shape(network: PlanNetwork, call_ids: list) -> tuple:
     """(primitive names, internal edges) signature used for isomorphism."""
     calls = [network.call(cid) for cid in call_ids]
-    pos = {cid: i for i, cid in enumerate(call_ids)}
-    produced = {}
-    for i, c in enumerate(calls):
-        spec = PRIMITIVES.get(c.primitive)
-        for role in spec.outputs:
-            t = c.slot(role)
-            if isinstance(t, Var):
-                produced[t.name] = (i, role)
-    edges = []
-    for i, c in enumerate(calls):
-        spec = PRIMITIVES.get(c.primitive)
-        for role, term in c.slots:
-            if role in spec.outputs:
-                continue
-            for v in _term_vars(term):
-                if v in produced:
-                    edges.append((produced[v][0], produced[v][1], i, role))
-    names = tuple(c.primitive for c in calls)
-    return (names, tuple(sorted(edges)))
+    produced = {v: (i, role) for i, c in enumerate(calls)
+                for role, v in output_vars(c)}
+    edges = sorted((*produced[v], i, role) for i, c in enumerate(calls)
+                   for role, term in input_slots(c)
+                   for v in vars_of(term) if v in produced)
+    return (tuple(c.primitive for c in calls), tuple(edges))
+
+
+def _aligned_outputs(ref_calls: list, occ_calls: list) -> dict:
+    """Reference output variable -> the occurrence's variable in the same
+    output slot of the aligned call."""
+    out = {}
+    for rc, oc in zip(ref_calls, occ_calls):
+        theirs = dict(output_vars(oc))
+        for role, v in output_vars(rc):
+            if role not in theirs:
+                raise InputError(f"variable {v} not aligned across occurrences")
+            out[v] = theirs[role]
+    return out
 
 
 def chunk(network: PlanNetwork, occurrences: list, name: str) -> tuple:
@@ -1017,121 +953,56 @@ def chunk(network: PlanNetwork, occurrences: list, name: str) -> tuple:
     if any(s != shapes[0] for s in shapes[1:]):
         raise InputError("occurrences are not isomorphic")
 
-    ref = [network.call(cid) for cid in occurrences[0]]
-    internal = set()
-    for c in ref:
-        spec = PRIMITIVES.get(c.primitive)
-        for role in spec.outputs:
-            t = c.slot(role)
-            if isinstance(t, Var):
-                internal.add(t.name)
-
-    # Template: internal vars renamed canonically; everything else a parameter.
+    occ_calls = [[network.call(cid) for cid in occ] for occ in occurrences]
+    ref = occ_calls[0]
+    aligned = [_aligned_outputs(ref, calls) for calls in occ_calls]
+    # Template: the reference's outputs renamed canonically; every input
+    # slot not built from them alone becomes a parameter.
+    canon = {v: Var(f"b{i}") for i, v in enumerate(sorted(aligned[0]))}
     params: list[tuple[int, str]] = []   # (call position, role)
     body = []
-    canon = {v: f"b{i}" for i, v in enumerate(sorted(internal))}
     for i, c in enumerate(ref):
-        spec = PRIMITIVES.get(c.primitive)
+        outputs = call_outputs(c)
         slots = []
         for role, term in c.slots:
-            tvars = _term_vars(term)
-            if tvars and all(v in internal for v in tvars):
-                slots.append((role, _rename_term(term, canon)))
-            elif role in spec.outputs:
-                slots.append((role, _rename_term(term, canon)))
+            tvars = vars_of(term)
+            if role in outputs or (tvars and tvars <= canon.keys()):
+                slots.append((role, rename_vars(term, canon)))
             else:
                 params.append((i, role))
                 slots.append((role, Var(f"p{len(params) - 1}")))
         body.append(PlanCall(f"t{i}", c.primitive, tuple(slots)))
 
-    # Exported outputs: internal vars consumed outside any occurrence.
-    consumed_outside = set().union(*_external_consumption(network, occurrences))
-    returns = []
-    for i, c in enumerate(ref):
-        spec = PRIMITIVES.get(c.primitive)
-        for role in spec.outputs:
-            t = c.slot(role)
-            if isinstance(t, Var) and t.name in consumed_outside:
-                returns.append((canon[t.name], role))
+    # Exported: reference outputs whose counterpart in some occurrence is
+    # used by a call outside that occurrence.
+    used_outside = set()
+    for occ, m in zip(occurrences, aligned):
+        used = {v for c in network.calls if c.call_id not in occ
+                for _, t in c.slots for v in vars_of(t)}
+        used_outside.update(r for r, v in m.items() if v in used)
+    exported = [(v, role) for c in ref for role, v in output_vars(c)
+                if v in used_outside]
 
-    composite = CompositeOperation(name, tuple(body),
-                                   tuple(f"p{i}" for i in range(len(params))),
-                                   tuple(returns), len(occurrences))
+    composite = CompositeOperation(
+        name, tuple(body), tuple(f"p{i}" for i in range(len(params))),
+        tuple((canon[v].name, role) for v, role in exported), len(occurrences))
 
     # Replace each occurrence with one composite call.
-    new_calls = []
-    replaced = {cid for occ in occurrences for cid in occ}
     comp_calls = {}
-    for k, occ in enumerate(occurrences):
-        calls = [network.call(cid) for cid in occ]
-        slots = []
-        var_map = []
-        for j, (pos, role) in enumerate(params):
-            slots.append((f"p{j}", calls[pos].slot(role)))
-        for tvar, _ in returns:
-            orig = next(v for v, cv in canon.items() if cv == tvar)
-            actual = _occurrence_var(ref, calls, orig)
-            slots.append((f"out-{tvar}", Var(actual)))
-        for orig, cv in sorted(canon.items()):
-            var_map.append((cv, _occurrence_var(ref, calls, orig)))
+    for k, (occ, calls, m) in enumerate(zip(occurrences, occ_calls, aligned)):
+        slots = [(f"p{j}", calls[pos].slot(role))
+                 for j, (pos, role) in enumerate(params)]
+        slots += [(f"out-{canon[v].name}", Var(m[v])) for v, _ in exported]
+        var_map = tuple((b.name, m[v]) for v, b in canon.items())
         comp_calls[occ[0]] = PlanCall(
             f"{name}-{k}", f"composite:{name}", tuple(slots),
             provenance=calls[0].provenance,
-            meta=(("composite", composite), ("var-map", tuple(var_map)),
+            meta=(("composite", composite), ("var-map", var_map),
                   ("call-ids", tuple(occ))))
-    for c in network.calls:
-        if c.call_id in comp_calls:
-            new_calls.append(comp_calls[c.call_id])
-        elif c.call_id not in replaced:
-            new_calls.append(c)
+    replaced = {cid for occ in occurrences for cid in occ}
+    new_calls = [comp_calls.get(c.call_id, c) for c in network.calls
+                 if c.call_id in comp_calls or c.call_id not in replaced]
     return composite, PlanNetwork(new_calls)
-
-
-def _occurrence_var(ref_calls, occ_calls, ref_var: str) -> str:
-    """The occurrence's variable aligned with ref_var in the reference."""
-    for rc, oc in zip(ref_calls, occ_calls):
-        spec = PRIMITIVES.get(rc.primitive)
-        for role in spec.outputs:
-            rt, ot = rc.slot(role), oc.slot(role)
-            if isinstance(rt, Var) and rt.name == ref_var and isinstance(ot, Var):
-                return ot.name
-    raise InputError(f"variable {ref_var} not aligned across occurrences")
-
-
-def _external_consumption(network: PlanNetwork, occurrences: list) -> list:
-    out = []
-    for occ in occurrences:
-        inside = set(occ)
-        produced = set()
-        for cid in occ:
-            c = network.call(cid)
-            spec = PRIMITIVES.get(c.primitive)
-            for role in spec.outputs:
-                t = c.slot(role)
-                if isinstance(t, Var):
-                    produced.add(t.name)
-        consumed = set()
-        for c in network.calls:
-            if c.call_id in inside:
-                continue
-            for role, term in c.slots:
-                for v in _term_vars(term):
-                    if v in produced:
-                        consumed.add(v)
-        ref_c = [network.call(cid) for cid in occurrences[0]]
-        occ_c = [network.call(cid) for cid in occ]
-        ref_names = set()
-        for v in consumed:
-            for rc, oc in zip(ref_c, occ_c):
-                spec = PRIMITIVES.get(rc.primitive)
-                for role in spec.outputs:
-                    ot = oc.slot(role)
-                    if isinstance(ot, Var) and ot.name == v:
-                        rt = rc.slot(role)
-                        if isinstance(rt, Var):
-                            ref_names.add(rt.name)
-        out.append(ref_names)
-    return out
 
 
 def expand_composites(calls: list) -> list:
@@ -1143,25 +1014,15 @@ def expand_composites(calls: list) -> list:
             continue
         meta = dict(c.meta)
         composite: CompositeOperation = meta["composite"]
-        var_map = dict(meta.get("var-map", ()))
-        args = {}
-        for role, term in c.slots:
-            if role.startswith("p"):
-                args[role] = term
-        rename = {}
-        for tvar, actual in var_map.items():
-            rename[tvar] = actual
+        # parameters take their arguments, template outputs the
+        # occurrence's variables
+        mapping = {tvar: Var(actual) for tvar, actual in meta.get("var-map", ())}
+        mapping.update((r, t) for r, t in c.slots if r.startswith("p"))
         ids = meta.get("call-ids", tuple(f"{c.call_id}.{i}"
                                          for i in range(len(composite.body))))
         for i, b in enumerate(composite.body):
-            slots = []
-            for role, term in b.slots:
-                tvars = _term_vars(term)
-                if len(tvars) == 1 and tvars[0] in args:
-                    slots.append((role, args[tvars[0]]))
-                else:
-                    slots.append((role, _rename_term(term, rename)))
-            out.append(PlanCall(ids[i], b.primitive, tuple(slots),
+            slots = tuple((r, rename_vars(t, mapping)) for r, t in b.slots)
+            out.append(PlanCall(ids[i], b.primitive, slots,
                                 provenance=c.provenance))
     return out
 
@@ -1186,15 +1047,6 @@ def find_recurrent_pairs(network: PlanNetwork) -> dict:
     return {sig: occs for sig, occs in groups.items() if len(occs) >= 2}
 
 
-def _rename_term(term, mapping: dict):
-    if isinstance(term, Var):
-        new = mapping.get(term.name)
-        return Var(new) if new is not None else term
-    if isinstance(term, ValueSet):
-        return ValueSet(_rename_term(m, mapping) for m in term)
-    return term
-
-
 # ---------------------------------------------------------------------------
 # Plan JSON
 
@@ -1207,7 +1059,7 @@ def plan_to_json(network: PlanNetwork) -> dict:
         for role, term in c.slots:
             if isinstance(term, Var):
                 slots[role] = {"var": term.name}
-            elif isinstance(term, ValueSet) and _term_vars(term):
+            elif isinstance(term, ValueSet) and vars_of(term):
                 slots[role] = {"terms": [
                     {"var": m.name} if isinstance(m, Var) else {"const": fv_to_json(m)}
                     for m in term]}

@@ -38,8 +38,8 @@ from .narrative import (
     SOURCE_LANGUAGE, SOURCE_SIMULATION, IntegrativeNarrativeNetwork,
 )
 from .plans import (
-    Executor, PlanCall, PlanNetwork, _serials_in, classify_slots,
-    complete_plan, normalize_fragment, question_id,
+    Executor, PlanCall, PlanNetwork, classify_slots,
+    complete_plan, normalize_fragment, question_id, serials_in,
 )
 
 #: slot whose runtime value becomes the discourse-accessible entry for a call
@@ -258,7 +258,7 @@ class CookingSession:
             if self.inn.has_question(qid):
                 self.inn.record_answer(qid, SOURCE_SIMULATION, ans.value, index)
             if ans.variable is not None:
-                for serial in _serials_in(ans.value):
+                for serial in serials_in(ans.value):
                     self.producer_of[serial] = ans.variable
 
         state = self.executor.state
@@ -271,7 +271,7 @@ class CookingSession:
             if term is None:
                 continue
             value = self.executor.bindings.substitute(term)
-            ids = tuple(s for s in _serials_in(value)
+            ids = tuple(s for s in serials_in(value)
                         if state.entity(s) is not None)
             if not ids:
                 continue

@@ -51,6 +51,25 @@ def test_execute_replays_saved_plan(tmp_path, capsys):
     assert (replay / "trace.jsonl").exists()
 
 
+def test_execute_rejects_open_variable_inside_struct(tmp_path, capsys):
+    plan = {"calls": [
+        {"primitive": "get-kitchen-state",
+         "slots": {"kitchen-state-out": {"var": "ks0"}}},
+        {"primitive": "set-timer/elapse",
+         "slots": {"input-ks": {"var": "ks0"},
+                   "duration": {"const": {"struct": {"min": {"var": "lo"}}}},
+                   "output-ks": {"var": "ks1"}, "elapsed": {"var": "done"}}},
+    ]}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code = main(["execute", "--plan", str(path),
+                 "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "input-error",
+                   "message": "plan has open slots: c1.duration(?lo)"}
+
+
 def test_execute_needs_plan_or_recipe(tmp_path, capsys):
     code = main(["execute", "--out-dir", str(tmp_path / "x")])
     assert code == 1

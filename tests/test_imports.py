@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used."""
+"""Source hygiene: every imported name is used, and no souschef module
+imports another's private names."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,18 @@ def test_no_unused_imports():
     assert files
     unused = [u for f in files for u in _unused_imports(f)]
     assert unused == []
+
+
+def _private_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    return [f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("souschef"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_names_imported_across_modules():
+    files = sorted((ROOT / "src" / "souschef").rglob("*.py"))
+    assert files
+    assert [p for f in files for p in _private_imports(f)] == []

@@ -11,7 +11,7 @@ from souschef import (
     expand_composites, find_recurrent_pairs, load_plan, plan_from_json,
     plan_to_json, verify_direction,
 )
-from souschef.features import Num, Sym, Var
+from souschef.features import Num, Struct, Sym, Var
 from souschef.plans import inline
 from conftest import DATA, fresh_kitchen
 
@@ -80,6 +80,18 @@ def test_open_input_slots_detected():
     assert ("c0", "input-ks", "ghost") in stuck
     assert ("c0", "item", "mystery") in stuck
     with pytest.raises(InputError):
+        execute_plan(net, *_fresh_sim())
+
+
+def test_variables_inside_a_struct_term_are_open_slots():
+    net = PlanNetwork([
+        call("c0", "get-kitchen-state", kitchen_state_out=Var("ks0")),
+        call("c1", "set-timer/elapse", input_ks=Var("ks0"),
+             duration=Struct([("min", Var("lo"))]),
+             output_ks=Var("ks1"), elapsed=Var("done")),
+    ])
+    assert net.open_input_slots() == [("c1", "duration", "lo")]
+    with pytest.raises(InputError, match=r"open slots: c1\.duration\(\?lo\)"):
         execute_plan(net, *_fresh_sim())
 
 
@@ -228,6 +240,38 @@ def test_chunk_builds_composite_and_inline_restores(gold_almond, run_plan):
         sorted(c.primitive for c in gold_almond.calls)
     again = run_plan(restored)
     assert content_hash(again.state) == content_hash(baseline.state)
+
+
+def test_chunk_rejects_bad_occurrences():
+    net = PlanNetwork([
+        call("a", "melt", input_ks=Var("k0"), item=Num(Fraction(5)),
+             output_ks=Var("k1"), resultant=Var("r1")),
+        call("b", "melt", input_ks=Var("k1"), item=Num(Fraction(6)),
+             output_ks=Var("k2"), resultant=Num(Fraction(7))),
+        call("f", "flatten", input_ks=Var("k2"), items=Var("r1"),
+             output_ks=Var("k3"), resultant=Var("r3")),
+    ])
+    with pytest.raises(InputError, match="at least two"):
+        chunk(net, [["a"]], "x")
+    with pytest.raises(InputError, match="not isomorphic"):
+        chunk(net, [["a"], ["f"]], "x")
+    # b's resultant, the slot aligned with a's ?r1, holds a constant
+    with pytest.raises(InputError, match="variable r1 not aligned"):
+        chunk(net, [["a"], ["b"]], "x")
+
+
+def test_chunk_pairs_outputs_by_role():
+    a = call("a", "melt", input_ks=Var("k0"), item=Num(Fraction(5)),
+             output_ks=Var("k1"), resultant=Var("r1"))
+    b = call("b", "melt", resultant=Var("r2"), output_ks=Var("k2"),
+             item=Num(Fraction(6)), input_ks=Var("k1"))
+    composite, chunked = chunk(PlanNetwork([a, b]), [["a"], ["b"]], "m")
+    assert composite.returns == (("b0", "output-ks"),)
+    assert [dict(c.slots) for c in chunked.calls] == [
+        {"p0": Var("k0"), "p1": Num(Fraction(5)), "out-b0": Var("k1")},
+        {"p0": Var("k1"), "p1": Num(Fraction(6)), "out-b0": Var("k2")}]
+    assert [dict(c.slots) for c in inline(chunked).calls] == \
+        [dict(a.slots), dict(b.slots)]
 
 
 def test_expand_composites_leaves_plain_calls_alone(gold_almond):
