@@ -815,7 +815,7 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
         # Form-only extraction: a pattern unit whose features are all form
         # facts (plus guards) may bind through the root's form set without a
         # counterpart unit; the unit it describes comes into being at merge.
-        if isinstance(name, Var) and _form_only(pu):
+        if isinstance(name, Var) and form_only(pu):
             candidates.append(None)
 
         for unit in candidates:
@@ -848,7 +848,9 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
             for (env, touched), umap in unique.items()]
 
 
-def _form_only(pu: PatternUnit) -> bool:
+def form_only(pu: PatternUnit) -> bool:
+    """pu holds only form and guard features: it reads nothing but the
+    root's form facts."""
     return all(k in (FORM_FEATURE, GUARD_FEATURE) for k, _ in pu.features)
 
 

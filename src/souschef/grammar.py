@@ -3,9 +3,11 @@
 A grammar is an ordered inventory of constructions, each a conditional pole
 (matched against the transient structure) and a contributing pole (merged
 into it). Comprehending an utterance applies the lemmatizations once, then
-searches over the other constructions' applications; the goal is a state no
-construction can change in which every content token has been consumed. The
-winning state's meaning predicates are read off into a plan fragment.
+once more every application of a form-only construction that nothing else
+contests, then searches over the remaining applications; the goal is a
+state no construction can change in which every content token has been
+consumed. The winning state's meaning predicates are read off into a plan
+fragment.
 
 Grammar file syntax (s-expressions, ';' comments):
 
@@ -34,6 +36,7 @@ grammar that does otherwise fails to load with GrammarSyntaxError.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,10 +48,10 @@ from .errors import (
     StructuralError, UnknownProcedureError,
 )
 from .features import (
-    FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Compound, Num, PatternUnit,
-    ProcRegistry, Struct, Sym, Text, TransientStructure, Unit, ValueSet, Var,
-    fact, facts_of, fresh_mapping, match, merge, rename_units, rename_vars,
-    variables_in_order, vars_of,
+    FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Compound, MatchResult, Num,
+    PatternUnit, ProcRegistry, Struct, Sym, Text, TransientStructure, Unit,
+    ValueSet, Var, fact, facts_of, form_only, fresh_mapping, match, merge,
+    rename_units, rename_vars, variables_in_order, vars_of,
 )
 from .memory import make_registry
 from .plans import PRIMITIVES, PlanCall, PlanFragment
@@ -139,6 +142,49 @@ class Construction:
         """Variable names of both poles in first-occurrence order, the
         order each application numbers them in."""
         return variables_in_order(self.conditional + self.contributing)
+
+    @cached_property
+    def form_only(self) -> bool:
+        """Every conditional unit holds only form and guard features and is
+        named by a variable that its own form facts bind and no earlier unit
+        mentions. Each unit then binds through the root's form facts alone,
+        so the root decides the matches; a unit named after a bound token
+        changes only the ``unit_map`` of a match."""
+        seen: set = set()
+        for pu in self.conditional:
+            name = pu.name.name if isinstance(pu.name, Var) else None
+            if not form_only(pu) or name is None or name in seen \
+                    or name not in vars_of(dict(pu.features).get(FORM_FEATURE)):
+                return False
+            seen.update(variables_in_order((pu,)))
+        return True
+
+    @cached_property
+    def confined(self) -> bool:
+        """Every contributing unit is a conditional unit or a new one: the
+        pole writes no unit that a feature value names."""
+        bound = set(variables_in_order(self.conditional))
+        names = {pu.name for pu in self.conditional}
+        return all(pu.name in names
+                   or isinstance(pu.name, Var) and pu.name.name not in bound
+                   for pu in self.contributing)
+
+    @cached_property
+    def new_units_only(self) -> bool:
+        """No conditional variable names a contributing unit."""
+        bound = set(variables_in_order(self.conditional))
+        return all(isinstance(pu.name, Var) and pu.name.name not in bound
+                   for pu in self.contributing)
+
+    @cached_property
+    def token_patterns(self) -> tuple:
+        """The conditional units named by a variable that hold only form and
+        guard features, guards dropped: each can stand for a token."""
+        return tuple(
+            PatternUnit(pu.name, tuple((k, v) for k, v in pu.features
+                                       if k != GUARD_FEATURE))
+            for pu in self.conditional
+            if isinstance(pu.name, Var) and form_only(pu))
 
 
 @dataclass
@@ -355,7 +401,7 @@ def _parse_cxn(node: _Node) -> Construction:
     for pole, pu, line in units:
         features = {f for f, _ in pu.features}
         if pole == "conditional":
-            ok = not lemmatization or features <= {FORM_FEATURE, GUARD_FEATURE}
+            ok = not lemmatization or form_only(pu)
         elif lemmatization:
             ok = pu.name == Sym(ROOT) and features == {FORM_FEATURE}
         else:
@@ -451,32 +497,50 @@ def apply_construction(cxn: Construction, ts: TransientStructure,
     (``?x`` becomes ``?x~N``) before the merge.
     """
     numbers = tuple(itertools.islice(counter, len(cxn.variables)))
-    mapping = contrib = None
+    renamed = None
     out = []
     for mr in match(cxn.conditional, ts, procs=procs):
-        anchor = ",".join(sorted(mr.touched_tokens))
-        targets = ",".join(sorted(n for _, n in mr.unit_map if n))
-        instance = f"{cxn.name}@{anchor}|{targets}"
-        if instance in ts.applied:
+        if _instance_name(cxn, mr) in ts.applied:
             continue  # this exact application already happened
-        if mapping is None:
-            mapping = fresh_mapping(cxn.variables, numbers)
-            contrib = rename_units(cxn.contributing, mapping)
-        bindings = Bindings({
-            mapping[k].name if k in mapping else k: rename_vars(v, mapping)
-            for k, v in mr.bindings.items()})
-        try:
-            outcome = merge(contrib, ts, bindings, procs)
-        except MergeFailure:
-            continue
-        result = TransientStructure(
-            outcome.structure.units,
-            ts.applied + (instance,),
-            ts.consumed | mr.touched_tokens,
-            outcome.structure.counter,
-        )
-        out.append(result)
+        renamed = renamed or _renamed_contribution(cxn, numbers)
+        child = _apply_match(cxn, mr, ts, procs, renamed)
+        if child is not None:
+            out.append(child)
     return out
+
+
+def _instance_name(cxn: Construction, mr: MatchResult) -> str:
+    """``name@touched tokens|target units``, the entry in ``applied``."""
+    anchor = ",".join(sorted(mr.touched_tokens))
+    targets = ",".join(sorted(n for _, n in mr.unit_map if n))
+    return f"{cxn.name}@{anchor}|{targets}"
+
+
+def _renamed_contribution(cxn: Construction, numbers: tuple) -> tuple:
+    """(fresh mapping, contributing pole) of an application that took
+    numbers from the counter: ``?x`` becomes ``?x~N``."""
+    mapping = fresh_mapping(cxn.variables, numbers)
+    return mapping, rename_units(cxn.contributing, mapping)
+
+
+def _apply_match(cxn: Construction, mr: MatchResult, ts: TransientStructure,
+                procs: ProcRegistry, renamed: tuple) -> Optional[TransientStructure]:
+    """The state one match of cxn makes of ts, or None when the merge fails;
+    renamed comes from ``_renamed_contribution``."""
+    mapping, contrib = renamed
+    bindings = Bindings({
+        mapping[k].name if k in mapping else k: rename_vars(v, mapping)
+        for k, v in mr.bindings.items()})
+    try:
+        outcome = merge(contrib, ts, bindings, procs)
+    except MergeFailure:
+        return None
+    return TransientStructure(
+        outcome.structure.units,
+        ts.applied + (_instance_name(cxn, mr),),
+        ts.consumed | mr.touched_tokens,
+        outcome.structure.counter,
+    )
 
 
 #: Form facts whose last argument may be a text literal worth indexing.
@@ -554,6 +618,35 @@ class Grammar:
         changes form facts or can enable a lemmatization, form matches are
         by subset, and a construction with an absent anchor has no match (a
         text literal unifies only with an equal text).
+
+        Then, once, every uncontested application of a form-only
+        construction is made (``_apply_uncontested``). A form-only
+        construction's units hold only form and guard features and bind
+        their own names through their form facts (``Construction.form_only``),
+        so the fixed root decides its matches. One of its matches joins the
+        layer when (i) its tokens (those it touches and the units it names)
+        meet those of no other form-only match, (ii) no form-only unit of a
+        candidate that is not form-only can stand for one of them (read from
+        the root, guards ignored, ``Construction.token_patterns``), and
+        (iii) it names no existing unit and applying it changes the state.
+        The layer is made only when every candidate contributes to its own
+        conditional units or to new ones (``Construction.confined``). A
+        unit named after a token is then created only through the form facts
+        of a form-only unit, so (i) and (ii) leave the application's units
+        to it alone: no other application creates or writes them first, and
+        in every state that lacks it its match, its ``applied`` entry and its
+        merge are those at the start. It only adds units, so it disables no
+        other application and changes none of their matches. Hence it is
+        enabled until made, every terminal state contains it, and it
+        commutes to the front of every path: a persistent set of one element
+        (Godefroid 1996), decided once per sentence. The terminal states are
+        unchanged, each reached by the same applications, the layer's first;
+        of the rank's keys only the order of ``applied_names`` can differ. A
+        form-only construction whose matches all joined the layer and whose
+        contributing pole names no conditional variable leaves the search:
+        its later matches are the same instances, already in ``applied``.
+        The lexical constructions stay, since the unit a lexical one made
+        turns up in its ``unit_map`` and gives a new ``applied`` entry.
         Fresh variables are numbered per call, so the result does not depend
         on earlier calls. The search stops once it holds max_states states;
         the result is then ``truncated`` when a state was left unexpanded.
@@ -565,6 +658,7 @@ class Grammar:
         ts0 = self._lemmatize(initialize_transient(tokens, accessible), counter)
         candidates = [c for c in self.candidates(ts0)
                       if c.kind != "lemmatization"]
+        ts0, candidates = self._apply_uncontested(ts0, candidates, counter)
 
         states: dict[str, TransientStructure] = {}
         children_cache: dict[str, list] = {}
@@ -626,6 +720,43 @@ class Grammar:
             if grown is None:
                 return ts
             ts = grown
+
+    def _apply_uncontested(self, ts: TransientStructure, candidates: list,
+                           counter) -> tuple:
+        """(ts with every uncontested form-only application made, the
+        candidates the search still needs); see ``comprehend``."""
+        if not all(c.confined for c in candidates):
+            return ts, candidates
+        trials = []  # (cxn, match, its tokens, fresh numbers)
+        claims: Counter = Counter()  # token -> form-only matches and units
+        for cxn in candidates:
+            if not cxn.form_only:  # (ii): the tokens its units can name
+                for pu in cxn.token_patterns:
+                    claims.update({r.bindings.walk(pu.name)
+                                   for r in match((pu,), ts, self.procs)})
+                continue
+            for mr in match(cxn.conditional, ts, self.procs):
+                tokens = {Sym(t) for t in mr.touched_tokens} \
+                    | {mr.bindings.walk(pu.name) for pu in cxn.conditional}
+                claims.update(tokens)
+                numbers = tuple(itertools.islice(counter, len(cxn.variables)))
+                trials.append((cxn, mr, tokens, numbers))
+        key = ts.content_key()
+        # constructions that leave the search unless one of their matches
+        # stays out of the layer
+        settled = {cxn.name for cxn, *_ in trials if cxn.new_units_only}
+        for cxn, mr, tokens, numbers in trials:
+            child = None  # (i) and (ii): no other claim; (iii) below
+            if all(claims[t] == 1 for t in tokens) \
+                    and not any(n for _, n in mr.unit_map):
+                child = _apply_match(cxn, mr, ts, self.procs,
+                                    _renamed_contribution(cxn, numbers))
+            child_key = child.content_key() if child is not None else key
+            if child_key != key:
+                ts, key = child, child_key
+            else:
+                settled.discard(cxn.name)
+        return ts, [c for c in candidates if c.name not in settled]
 
     def _rank(self, ts: TransientStructure, content: set) -> tuple:
         missing = len(content - ts.consumed)

@@ -941,17 +941,48 @@ def _aligned_outputs(ref_calls: list, occ_calls: list) -> dict:
     return out
 
 
+def _check_no_reentry(network: PlanNetwork, occurrences: list) -> None:
+    """InputError when a data-flow path (kitchen-state edges included)
+    leaves an occurrence and comes back into it: one composite call in its
+    place would then depend on itself."""
+    successors: dict[str, set] = {}
+    for consumer, _, producer in network.consumers():
+        successors.setdefault(producer.call_id, set()).add(consumer.call_id)
+    for occ in occurrences:
+        inside = set(occ)
+        stack = [c for cid in occ for c in successors.get(cid, ())
+                 if c not in inside]
+        reached = set(stack)
+        while stack:
+            for c in successors.get(stack.pop(), ()):
+                if c in inside:
+                    raise InputError(
+                        f"data flow leaves occurrence {list(occ)} and "
+                        f"re-enters it at call {c}")
+                if c not in reached:
+                    reached.add(c)
+                    stack.append(c)
+
+
 def chunk(network: PlanNetwork, occurrences: list, name: str) -> tuple:
     """Store a recurrent subgraph as a composite; returns (composite, network').
 
     occurrences: list of call-id lists, positionally aligned. All must be
-    isomorphic over primitive names and internal data-flow edges.
+    isomorphic over primitive names and internal data-flow edges, no call
+    may lie in two of them, and no data-flow path may leave an occurrence
+    and re-enter it.
     """
     if len(occurrences) < 2:
         raise InputError("chunking needs at least two occurrences")
+    seen: set = set()
+    for cid in (cid for occ in occurrences for cid in occ):
+        if cid in seen:
+            raise InputError(f"call {cid} lies in two occurrences")
+        seen.add(cid)
     shapes = [_occurrence_shape(network, occ) for occ in occurrences]
     if any(s != shapes[0] for s in shapes[1:]):
         raise InputError("occurrences are not isomorphic")
+    _check_no_reentry(network, occurrences)
 
     occ_calls = [[network.call(cid) for cid in occ] for occ in occurrences]
     ref = occ_calls[0]
@@ -1032,7 +1063,8 @@ def inline(network: PlanNetwork) -> PlanNetwork:
 
 
 def find_recurrent_pairs(network: PlanNetwork) -> dict:
-    """Connected two-call patterns appearing at least twice, by signature."""
+    """Connected two-call patterns appearing at least twice, by signature;
+    only groups that ``chunk`` accepts."""
     groups: dict[tuple, list] = {}
     seen = set()
     for consumer, role, producer in network.consumers():
@@ -1044,7 +1076,16 @@ def find_recurrent_pairs(network: PlanNetwork) -> dict:
         seen.add(pair)
         sig = _occurrence_shape(network, list(pair))
         groups.setdefault(sig, []).append(list(pair))
-    return {sig: occs for sig, occs in groups.items() if len(occs) >= 2}
+    return {sig: occs for sig, occs in groups.items()
+            if len(occs) >= 2 and _chunkable(network, occs)}
+
+
+def _chunkable(network: PlanNetwork, occurrences: list) -> bool:
+    try:
+        chunk(network, occurrences, "probe")
+    except InputError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,29 @@ def _mix_shape(shapes):
 
 
 def test_find_recurrent_pairs_on_gold(gold_almond):
+    # the fetch -> beat and fetch -> add groups share a call, so only the
+    # add -> mix group can be chunked
     shapes = find_recurrent_pairs(gold_almond)
     target = _mix_shape(shapes)
-    assert [[c for c in occ] for occ in shapes[target]] == \
-        [["c10", "c11"], ["c12", "c13"]]
+    assert list(shapes.values()) == [[["c10", "c11"], ["c12", "c13"]]]
+    assert shapes[target] == [["c10", "c11"], ["c12", "c13"]]
+
+
+def test_every_recurrent_group_chunks_like_the_gold_plan(gold_names, run_plan):
+    groups = 0
+    for name in gold_names:
+        gold = load_plan(DATA / "gold" / f"{name}.plan.json")
+        baseline = run_plan(gold)
+        for sig, occurrences in find_recurrent_pairs(gold).items():
+            _, chunked = chunk(gold, occurrences, "recurrent")
+            for network in (chunked, inline(chunked)):
+                network.validate()
+                outcome = run_plan(network)
+                assert content_hash(outcome.state) == \
+                    content_hash(baseline.state), (name, sig)
+                assert outcome.trace.minutes == baseline.trace.minutes
+            groups += 1
+    assert groups == 2  # almond's and vanilla's add -> mix
 
 
 def test_chunk_builds_composite_and_inline_restores(gold_almond, run_plan):
@@ -242,7 +261,7 @@ def test_chunk_builds_composite_and_inline_restores(gold_almond, run_plan):
     assert content_hash(again.state) == content_hash(baseline.state)
 
 
-def test_chunk_rejects_bad_occurrences():
+def test_chunk_rejects_bad_occurrences(gold_almond):
     net = PlanNetwork([
         call("a", "melt", input_ks=Var("k0"), item=Num(Fraction(5)),
              output_ks=Var("k1"), resultant=Var("r1")),
@@ -258,6 +277,13 @@ def test_chunk_rejects_bad_occurrences():
     # b's resultant, the slot aligned with a's ?r1, holds a constant
     with pytest.raises(InputError, match="variable r1 not aligned"):
         chunk(net, [["a"], ["b"]], "x")
+    # both fetches feed the one beat
+    with pytest.raises(InputError, match="call c9 lies in two occurrences"):
+        chunk(gold_almond, [["c1", "c9"], ["c2", "c9"]], "x")
+    # c3 gives c4 its kitchen state and c4 feeds c10: c3 -> c4 -> c10
+    # leaves the occurrence and comes back, so its composite would feed itself
+    with pytest.raises(InputError, match="re-enters it at call c10"):
+        chunk(gold_almond, [["c3", "c10"], ["c5", "c12"]], "x")
 
 
 def test_chunk_pairs_outputs_by_role():

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from souschef import (
-    CookingSession, InputError, UnderstandingFailure, load_recipe,
-    parse_recipe, run_recipe, save_plan,
+    CookingSession, InputError, UnderstandingFailure, extract_fragment,
+    load_recipe, parse_recipe, run_recipe, save_plan,
 )
+import souschef.grammar as grammar_module
 import souschef.plans as plans_module
-from souschef.features import Num, Var
+from souschef.features import Num, Var, vars_of
 from souschef.narrative import (
     SOURCE_LANGUAGE, SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION,
 )
@@ -172,7 +173,8 @@ def test_rerun_with_shared_grammar_gives_identical_artifacts(
         out.mkdir()
         save_plan(result.network, out / "plan.json")
         result.inn.write_json(out / "questions.json")
-    for artifact in ("plan.json", "questions.json"):
+        result.trace.write_jsonl(out / "trace.jsonl")
+    for artifact in ("plan.json", "questions.json", "trace.jsonl"):
         assert (tmp_path / "first" / artifact).read_bytes() == \
             (tmp_path / "again" / artifact).read_bytes()
 
@@ -204,7 +206,7 @@ CONJUNCTS = [(1, False), (1, True), (2, False), (2, True), (3, False),
 
 @pytest.mark.parametrize("k, repeat", CONJUNCTS)
 def test_add_lists_every_conjunct_as_transfer_source(
-        grammar, ontology, workloads, k, repeat):
+        grammar, ontology, workloads, monkeypatch, k, repeat):
     # "Add the A and B ..." in a primed discourse: a nested group must not
     # leave its own variable in the source slot
     names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract")
@@ -214,7 +216,23 @@ def test_add_lists_every_conjunct_as_transfer_source(
     session = CookingSession(grammar, ontology, ks, config)
     for i, line in enumerate(lines):
         session.run_step(i, line)
+    results = []
+    comprehend = grammar.comprehend
+
+    def recording(*args, **kwargs):
+        results.append(comprehend(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(grammar, "comprehend", recording)
     report = session.run_step(len(lines), sentence)
     assert not report.unresolved_tokens
     concepts = workloads.transfer_concepts(plans_module, session, report)
     assert sorted(concepts) == sorted(added), sentence
+    # the ranking's loose-end count reads the nested members as used too:
+    # every referent extract_fragment annotates sits in a call slot
+    (result,) = results
+    fragment = extract_fragment(result)
+    in_slots = {v for c in fragment.calls for _, t in c.slots
+                for v in vars_of(t)}
+    assert set(fragment.discourse) <= in_slots
+    assert grammar_module._count_dangling(result.structure) == 0
