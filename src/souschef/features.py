@@ -36,10 +36,11 @@ many search states share it:
   ``(name, arity)`` and by ``(name, arity, position, literal)``; ``match``
   unifies pattern form facts against it. It depends on the unit alone.
 * ``Unit.first_matches`` holds, per first pattern unit of a conditional
-  pole, what ``_match_unit`` returned for this unit (on the root, for the
-  form-only leg). An entry is valid only while the form pool and the
-  procedure registry it was computed with are the same objects, as they
-  are within a search; the check guards direct ``match`` callers.
+  pole, what ``_match_unit`` returned for this unit; a token unit's entry
+  sits on the root, the only unit it binds through. An entry is valid only
+  while the form pool and the procedure registry it was computed with are
+  the same objects, as they are within a search; the check guards direct
+  ``match`` callers.
 """
 
 from __future__ import annotations
@@ -461,8 +462,8 @@ class Unit:
 
     @cached_property
     def first_matches(self) -> dict:
-        """id(first pattern unit), or (id,) for the form-only leg on a root,
-        -> (pattern unit, pool, procs, legs); see ``_first_unit_legs``."""
+        """id(first pattern unit) -> (pattern unit, pool, procs, legs);
+        see ``_first_unit_legs``."""
         return {}
 
 
@@ -772,7 +773,6 @@ _TOKEN_FACTS = {"string", "lemma", "meets", "lb", "rb"}
 class MatchResult:
     bindings: Bindings
     touched_tokens: frozenset  # token ids referenced through matched form facts
-    unit_map: tuple  # (pattern-unit index, target unit name or None for form-only)
 
 
 def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
@@ -782,6 +782,15 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
     Returns every surviving binding set (empty list = no match). The result
     is a set: its order is deterministic and independent of target-unit
     order.
+
+    A token unit, named by an unbound variable and holding only form and
+    guard features, binds through the root's form facts alone: it stands
+    for the token those facts name, and no counterpart unit is read. This
+    loses no match. A unit whose form facts name the token it stands for
+    can match an existing unit only when that unit is named after the
+    token, and then with the bindings and touched tokens the root alone
+    gives; ``merge`` reads nothing else. A token unit whose form facts do
+    not bind its name matches nothing (grammar files reject one).
     """
     pattern_units = list(pattern_units)
     required = []  # per pattern unit: features a counterpart unit must have
@@ -795,28 +804,25 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
     root = ts.root
     pool = root.form_pool
 
-    results: list[tuple[Bindings, frozenset, tuple]] = []
+    results: dict[tuple[Bindings, frozenset], None] = {}  # insertion-ordered
 
     def attempt(idx: int, bindings: Bindings, used: frozenset,
-                touched: frozenset, umap: tuple) -> None:
+                touched: frozenset) -> None:
         if idx == len(pattern_units):
-            results.append((bindings, touched, umap))
+            results[bindings, touched] = None
             return
         pu = pattern_units[idx]
         name = bindings.walk(pu.name) if isinstance(pu.name, Var) else pu.name
 
         candidates: list[Optional[Unit]] = []
-        if isinstance(name, Sym):
+        if isinstance(name, Var) and form_only(pu):
+            candidates = [None]  # a token unit: the root alone
+        elif isinstance(name, Sym):
             u = ts.unit(name.name)
             if u is not None and u.name not in used:
                 candidates = [u]
         else:
             candidates = [u for u in ts.units if u.name not in used]
-        # Form-only extraction: a pattern unit whose features are all form
-        # facts (plus guards) may bind through the root's form set without a
-        # counterpart unit; the unit it describes comes into being at merge.
-        if isinstance(name, Var) and form_only(pu):
-            candidates.append(None)
 
         for unit in candidates:
             if unit is not None \
@@ -833,19 +839,13 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
                 legs = _match_unit(pu, unit, pool, env, touched, procs)
             for env2, tch in legs:
                 if unit is not None:
-                    attempt(idx + 1, env2, used | {unit.name}, tch,
-                            umap + ((idx, unit.name),))
+                    attempt(idx + 1, env2, used | {unit.name}, tch)
                 elif not isinstance(env2.walk(name), Var):
-                    # the form facts must have named the unit
-                    attempt(idx + 1, env2, used, tch, umap + ((idx, None),))
+                    # the form facts must have named the token
+                    attempt(idx + 1, env2, used, tch)
 
-    attempt(0, Bindings(), frozenset(), frozenset(), ())
-
-    unique: dict[tuple, tuple] = {}
-    for env, touched, umap in results:
-        unique.setdefault((env, touched), umap)
-    return [MatchResult(env, touched, umap)
-            for (env, touched), umap in unique.items()]
+    attempt(0, Bindings(), frozenset(), frozenset())
+    return [MatchResult(env, touched) for env, touched in results]
 
 
 def form_only(pu: PatternUnit) -> bool:
@@ -908,11 +908,11 @@ def _first_unit_legs(pu: PatternUnit, unit: Optional[Unit], root: Unit,
 
     With no bindings yet and no tokens touched, the result depends only on
     pu, unit, pool and procs. It is kept in ``unit.first_matches`` (in the
-    root's, for the form-only leg) and reused while pool and procs are the
-    same objects, so a unit shared by many states is matched once.
+    root's, for a token unit) and reused while pool and procs are the same
+    objects, so a unit shared by many states is matched once.
     """
-    holder, key = (unit, id(pu)) if unit is not None else (root, (id(pu),))
-    entry = holder.first_matches.get(key)
+    holder = unit if unit is not None else root
+    entry = holder.first_matches.get(id(pu))
     if entry is not None and entry[0] is pu and entry[1] is pool \
             and entry[2] is procs:
         return entry[3]
@@ -920,7 +920,7 @@ def _first_unit_legs(pu: PatternUnit, unit: Optional[Unit], root: Unit,
     if unit is not None and isinstance(pu.name, Var):
         env = env.bind(pu.name.name, Sym(unit.name))
     legs = _match_unit(pu, unit, pool, env, frozenset(), procs)
-    holder.first_matches[key] = (pu, pool, procs, legs)
+    holder.first_matches[id(pu)] = (pu, pool, procs, legs)
     return legs
 
 
@@ -930,8 +930,8 @@ def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
     """(bindings, touched tokens) under which pu matches unit.
 
     Form facts unify against the root's form facts (`pool`, the root's
-    ``form_pool``). A unit of None is the form-only leg: pu has only form
-    and guard features.
+    ``form_pool``). A unit of None stands for a token unit: pu has only
+    form and guard features.
     """
     facts_pool, index = pool
     stack = [(env, touched)]

@@ -17,9 +17,9 @@ Grammar file syntax (s-expressions, ';' comments):
       :kind lexical
       :score 0.5
       (conditional
-        (root (form (lemma ?t "butter"))))
+        (?t (form (lemma ?t "butter"))))
       (contributing
-        (?u (lex-class noun) (cat butter) (referent ?x) (lb ?t) (rb ?t))))
+        (?t (lex-class noun) (cat butter) (referent ?x) (lb ?t) (rb ?t))))
 
 Feature values: ?x is a variable, "..." is text, numbers are exact rationals,
 (num 175 degrees-C) attaches a unit, bare names are symbols, any other list
@@ -30,7 +30,13 @@ not contain '~', which marks the fresh variables of comprehension.
 Form facts live on the ``root`` unit only. Only a lemmatization may
 contribute ``form``; it contributes ``form`` to ``root`` and nothing else,
 and its conditional pole holds only ``form`` and ``guard`` features. A
-grammar that does otherwise fails to load with GrammarSyntaxError.
+conditional unit named by a variable no earlier unit mentions and holding
+only ``form`` and ``guard`` features is a token unit, like ``?t`` above: it
+stands for the token its form facts name, so they must mention its name. A
+form-only construction, all of whose conditional units are token units,
+leaves the search when each of its matches was applied before the search
+began. A grammar that breaks these rules fails to load with
+GrammarSyntaxError.
 """
 
 from __future__ import annotations
@@ -145,19 +151,9 @@ class Construction:
 
     @cached_property
     def form_only(self) -> bool:
-        """Every conditional unit holds only form and guard features and is
-        named by a variable that its own form facts bind and no earlier unit
-        mentions. Each unit then binds through the root's form facts alone,
-        so the root decides the matches; a unit named after a bound token
-        changes only the ``unit_map`` of a match."""
-        seen: set = set()
-        for pu in self.conditional:
-            name = pu.name.name if isinstance(pu.name, Var) else None
-            if not form_only(pu) or name is None or name in seen \
-                    or name not in vars_of(dict(pu.features).get(FORM_FEATURE)):
-                return False
-            seen.update(variables_in_order((pu,)))
-        return True
+        """Every conditional unit is a token unit, so the root alone decides
+        the matches."""
+        return all(_token_units(self.conditional))
 
     @cached_property
     def confined(self) -> bool:
@@ -170,13 +166,6 @@ class Construction:
                    for pu in self.contributing)
 
     @cached_property
-    def new_units_only(self) -> bool:
-        """No conditional variable names a contributing unit."""
-        bound = set(variables_in_order(self.conditional))
-        return all(isinstance(pu.name, Var) and pu.name.name not in bound
-                   for pu in self.contributing)
-
-    @cached_property
     def token_patterns(self) -> tuple:
         """The conditional units named by a variable that hold only form and
         guard features, guards dropped: each can stand for a token."""
@@ -185,6 +174,18 @@ class Construction:
                                        if k != GUARD_FEATURE))
             for pu in self.conditional
             if isinstance(pu.name, Var) and form_only(pu))
+
+
+def _token_units(conditional: tuple) -> list:
+    """Per conditional unit, whether it is a token unit: named by a variable
+    no earlier unit mentions, holding only form and guard features."""
+    seen: set = set()
+    out = []
+    for pu in conditional:
+        out.append(isinstance(pu.name, Var) and pu.name.name not in seen
+                   and form_only(pu))
+        seen.update(variables_in_order((pu,)))
+    return out
 
 
 @dataclass
@@ -411,6 +412,14 @@ def _parse_cxn(node: _Node) -> Construction:
                 f"construction {name}: only a lemmatization may contribute "
                 f"form; it gives root only form and reads only form and "
                 f"guard features", line=line)
+    lines = [line for pole, _, line in units if pole == "conditional"]
+    for pu, token, line in zip(poles["conditional"],
+                               _token_units(poles["conditional"]), lines):
+        if token and pu.name.name not in vars_of(
+                dict(pu.features).get(FORM_FEATURE)):
+            raise GrammarSyntaxError(
+                f"construction {name}: token unit {pu.name!r} must name "
+                f"its token in its own form facts", line=line)
     return Construction(name, kind, score,
                         poles["conditional"], poles["contributing"])
 
@@ -510,9 +519,11 @@ def apply_construction(cxn: Construction, ts: TransientStructure,
 
 
 def _instance_name(cxn: Construction, mr: MatchResult) -> str:
-    """``name@touched tokens|target units``, the entry in ``applied``."""
+    """``name@touched tokens|conditional units``, the entry in ``applied``;
+    a token unit is named by the token it stands for."""
     anchor = ",".join(sorted(mr.touched_tokens))
-    targets = ",".join(sorted(n for _, n in mr.unit_map if n))
+    targets = ",".join(sorted(mr.bindings.walk(pu.name).name
+                              for pu in cxn.conditional))
     return f"{cxn.name}@{anchor}|{targets}"
 
 
@@ -620,33 +631,23 @@ class Grammar:
         text literal unifies only with an equal text).
 
         Then, once, every uncontested application of a form-only
-        construction is made (``_apply_uncontested``). A form-only
-        construction's units hold only form and guard features and bind
-        their own names through their form facts (``Construction.form_only``),
-        so the fixed root decides its matches. One of its matches joins the
-        layer when (i) its tokens (those it touches and the units it names)
-        meet those of no other form-only match, (ii) no form-only unit of a
-        candidate that is not form-only can stand for one of them (read from
-        the root, guards ignored, ``Construction.token_patterns``), and
-        (iii) it names no existing unit and applying it changes the state.
-        The layer is made only when every candidate contributes to its own
-        conditional units or to new ones (``Construction.confined``). A
-        unit named after a token is then created only through the form facts
-        of a form-only unit, so (i) and (ii) leave the application's units
-        to it alone: no other application creates or writes them first, and
-        in every state that lacks it its match, its ``applied`` entry and its
-        merge are those at the start. It only adds units, so it disables no
-        other application and changes none of their matches. Hence it is
-        enabled until made, every terminal state contains it, and it
-        commutes to the front of every path: a persistent set of one element
-        (Godefroid 1996), decided once per sentence. The terminal states are
-        unchanged, each reached by the same applications, the layer's first;
-        of the rank's keys only the order of ``applied_names`` can differ. A
-        form-only construction whose matches all joined the layer and whose
-        contributing pole names no conditional variable leaves the search:
-        its later matches are the same instances, already in ``applied``.
-        The lexical constructions stay, since the unit a lexical one made
-        turns up in its ``unit_map`` and gives a new ``applied`` entry.
+        construction is made (``_apply_uncontested``). Its units are token
+        units, which bind through the root alone (see ``match``), so the
+        fixed root decides its matches and their ``applied`` entries in
+        every state. A match joins the layer when (i) its tokens (those it
+        touches and those its units stand for) meet those of no other
+        form-only match, (ii) no form-only unit of a candidate that is not
+        form-only can stand for one of them (``Construction.token_patterns``,
+        guards ignored), and (iii) applying it changes the state. The layer
+        is made only when every candidate writes its own conditional units
+        or new ones (``Construction.confined``), so by (i) and (ii) no other
+        application writes the match's units. It stays enabled until made
+        and only adds to the state, so every terminal state contains it and
+        it commutes to the front of every path: a persistent set of one
+        element (Godefroid 1996). The terminal states are unchanged; of the
+        rank's keys only the order of ``applied_names`` can differ. A
+        form-only construction none of whose matches stayed out of the
+        layer leaves the search, since each match is already in ``applied``.
         Fresh variables are numbered per call, so the result does not depend
         on earlier calls. The search stops once it holds max_states states;
         the result is then ``truncated`` when a state was left unexpanded.
@@ -661,7 +662,7 @@ class Grammar:
         ts0, candidates = self._apply_uncontested(ts0, candidates, counter)
 
         states: dict[str, TransientStructure] = {}
-        children_cache: dict[str, list] = {}
+        expanded: set[str] = set()
         terminal: list[str] = []
         k0 = ts0.content_key()
         states[k0] = ts0
@@ -669,26 +670,26 @@ class Grammar:
         while work and len(states) < max_states:
             key = work.pop()
             ts = states[key]
-            if key in children_cache:
+            if key in expanded:
                 continue
-            children = []
+            leaf = True
             for cxn in candidates:
                 for child in apply_construction(cxn, ts, self.procs, counter):
                     ck = child.content_key()
                     if ck == key:
                         continue
-                    children.append(ck)
+                    leaf = False
                     if ck not in states:
                         states[ck] = child
                         work.append(ck)
                     elif _better_path(child, states[ck]):
                         states[ck] = child
-                        children_cache.pop(ck, None)
+                        expanded.discard(ck)
                         work.append(ck)
-            children_cache[key] = children
-            if not children:
+            expanded.add(key)
+            if leaf:
                 terminal.append(key)
-        truncated = any(k not in children_cache for k in work)
+        truncated = any(k not in expanded for k in work)
 
         if not terminal:  # state cap hit on a pathological grammar
             terminal = list(states)
@@ -742,13 +743,12 @@ class Grammar:
                 numbers = tuple(itertools.islice(counter, len(cxn.variables)))
                 trials.append((cxn, mr, tokens, numbers))
         key = ts.content_key()
-        # constructions that leave the search unless one of their matches
-        # stays out of the layer
-        settled = {cxn.name for cxn, *_ in trials if cxn.new_units_only}
+        # form-only constructions leave the search unless one of their
+        # matches stays out of the layer
+        settled = {cxn.name for cxn in candidates if cxn.form_only}
         for cxn, mr, tokens, numbers in trials:
             child = None  # (i) and (ii): no other claim; (iii) below
-            if all(claims[t] == 1 for t in tokens) \
-                    and not any(n for _, n in mr.unit_map):
+            if all(claims[t] == 1 for t in tokens):
                 child = _apply_match(cxn, mr, ts, self.procs,
                                     _renamed_contribution(cxn, numbers))
             child_key = child.content_key() if child is not None else key
@@ -818,9 +818,10 @@ class _Aliases:
             self.parent[drop] = keep
 
 
-def extract_fragment(result: ComprehensionResult) -> PlanFragment:
-    """Read the winning state's meaning predicates into a plan fragment."""
-    facts = _meaning_facts(result.structure)
+def _links(facts: list) -> tuple:
+    """(aliases, canon, groups) of the meaning facts: the union-find of the
+    ``same`` links, a term with each variable replaced by its alias, and
+    each ``collect`` group's canonical members by group variable."""
     aliases = _Aliases()
     for f in facts:
         if f.name == "same":
@@ -843,10 +844,15 @@ def extract_fragment(result: ComprehensionResult) -> PlanFragment:
             if not f.args or not isinstance(f.args[0], Var):
                 raise StructuralError(f"malformed collect: {f!r}")
             g = aliases.find(f.args[0].name)
-            members = [canon(a) for a in f.args[1:]]
-            existing = groups.get(g)
-            groups[g] = existing.union(ValueSet(members)) if existing \
-                else ValueSet(members)
+            members = ValueSet(canon(a) for a in f.args[1:])
+            groups[g] = groups[g].union(members) if g in groups else members
+    return aliases, canon, groups
+
+
+def extract_fragment(result: ComprehensionResult) -> PlanFragment:
+    """Read the winning state's meaning predicates into a plan fragment."""
+    facts = _meaning_facts(result.structure)
+    aliases, canon, groups = _links(facts)
 
     def expand(term):  # groups replaced by their members, flattened
         term = canon(term)
@@ -920,39 +926,25 @@ def extract_fragment(result: ComprehensionResult) -> PlanFragment:
 def _count_dangling(ts: TransientStructure) -> int:
     """Referents annotated but feeding no call slot (loose ends)."""
     facts = _meaning_facts(ts)
-    aliases = _Aliases()
-    for f in facts:
-        if f.name == "same" and len(f.args) == 2 \
-                and all(isinstance(a, Var) for a in f.args):
-            aliases.union(f.args[0].name, f.args[1].name)
-    groups: dict[str, set] = {}
+    aliases, _, groups = _links(facts)
     used: set[str] = set()
+
+    def use(name: str) -> None:  # name and, through groups, its members
+        if name not in used:
+            used.add(name)
+            for m in groups.get(name, ()):
+                if isinstance(m, Var):
+                    use(m.name)
+
     annotated: set[str] = set()
     for f in facts:
-        if f.name == "collect" and f.args and isinstance(f.args[0], Var):
-            g = aliases.find(f.args[0].name)
-            groups.setdefault(g, set())
-            for a in f.args[1:]:
-                if isinstance(a, Var):
-                    groups[g].add(aliases.find(a.name))
-        elif f.name == "slot" and len(f.args) == 3:
+        if f.name == "slot" and len(f.args) == 3:
             for v in vars_of(f.args[2]):
-                used.add(aliases.find(v))
+                use(aliases.find(v))
         elif f.name in ("discourse", "locate") and f.args \
                 and isinstance(f.args[0], Var):
             annotated.add(aliases.find(f.args[0].name))
-    changed = True
-    while changed:
-        changed = False
-        for g, members in groups.items():
-            if g in used:
-                for m in members:
-                    if m not in used:
-                        used.add(m)
-                        changed = True
-    dangling = {v for v in annotated if v not in used}
-    dangling |= {g for g in groups if g not in used}
-    return len(dangling)
+    return len((annotated | set(groups)) - used)
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,10 @@ def test_match_requires_every_unit():
     ts = TransientStructure((root,))
     pattern = [
         PatternUnit(Var("w"), (("form", ValueSet([
-            Compound("string", (Var("t"), Text("mix")), ())])),)),
+            Compound("string", (Var("w"), Text("mix")), ())])),)),
         PatternUnit(Var("v"), (("lex-class", Sym("noun")),)),
     ]
+    assert match(pattern[:1], ts)  # the token unit alone matches
     assert match(pattern, ts) == []
 
 

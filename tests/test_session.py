@@ -10,7 +10,7 @@ import pytest
 
 from souschef import (
     CookingSession, InputError, UnderstandingFailure, extract_fragment,
-    load_recipe, parse_recipe, run_recipe, save_plan,
+    goal_condition_success, load_recipe, parse_recipe, run_recipe, save_plan,
 )
 import souschef.grammar as grammar_module
 import souschef.plans as plans_module
@@ -190,13 +190,41 @@ def test_bundled_analyses_are_unchanged(almond_result, vanilla_result):
         assert got == expected[name], name
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """The benchmark's workload module, imported read-only."""
+def _perfbench_module(name: str):
+    """A module of the benchmark, imported read-only."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                / "perfbench"))
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def recipegen():
+    return _perfbench_module("recipegen")
+
+
+@pytest.mark.parametrize("seed", [101, 7])
+def test_generated_recipes_meet_their_oracle(grammar, ontology, recipegen,
+                                             seed):
+    # one variant per template, as the recipes workload's first cycle
+    # makes them: full closure and every oracle goal, cookie count included
+    rng = random.Random(seed)
+    for n, template in enumerate(recipegen.TEMPLATES):
+        variant = recipegen.make_variant(rng, template, f"variant-{seed}-{n}")
+        ks, config = fresh_kitchen()
+        result = run_recipe(parse_recipe(variant.text), grammar, ontology,
+                            ks, config)
+        assert result.inn.closure_status()["closed"], variant.name
+        cookies = result.state.entities_of_kind("cookie", ontology)
+        assert len(cookies) == variant.cookies, variant.name
+        success, per_goal = goal_condition_success(result.state,
+                                                   variant.goals, ontology)
+        assert success == 1, (variant.name, per_goal)
 
 
 #: k = 4 in the "and the" form takes seconds and is left out
