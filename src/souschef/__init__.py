@@ -17,8 +17,8 @@ from .features import (
 )
 from .grammar import Grammar, extract_fragment, load_grammar, parse_grammar, tokenize
 from .kitchen import (
-    KitchenSimulator, KitchenState, PRIMITIVE_NAMES, content_hash,
-    initial_kitchen, load_kitchen,
+    PRIMITIVES, KitchenSimulator, KitchenState, content_hash, initial_kitchen,
+    load_kitchen,
 )
 from .memory import Ontology, PersonalDynamicMemory, advance_plot, resolve_entity
 from .metrics import (
@@ -28,9 +28,9 @@ from .metrics import (
 )
 from .narrative import IntegrativeNarrativeNetwork, NarrativeQuestion
 from .plans import (
-    Executor, PRIMITIVES, PlanCall, PlanFragment, PlanNetwork, chunk,
-    execute_plan, expand_composites, find_recurrent_pairs, load_plan,
-    plan_from_json, plan_to_json, save_plan, verify_direction,
+    Executor, PlanCall, PlanFragment, PlanNetwork, chunk, execute_plan,
+    expand_composites, find_recurrent_pairs, load_plan, plan_from_json,
+    plan_to_json, save_plan, verify_direction,
 )
 from .session import (
     CookingSession, RecipeDocument, SessionResult, load_recipe, parse_recipe,
@@ -44,7 +44,7 @@ __all__ = [
     "Executor", "Grammar", "GrammarSyntaxError", "InputError",
     "IntegrativeNarrativeNetwork", "KitchenSimulator", "KitchenState",
     "MergeFailure", "NarrativeQuestion", "Num", "Ontology", "OverlapScore",
-    "PRIMITIVES", "PRIMITIVE_NAMES", "PersonalDynamicMemory", "PlanCall",
+    "PRIMITIVES", "PersonalDynamicMemory", "PlanCall",
     "PlanFragment", "PlanNetwork", "RecipeDocument", "SessionResult",
     "SimulationError", "SizeExceededError", "SousChefError",
     "StructuralError", "Struct", "Sym", "Text", "UnderstandingFailure",

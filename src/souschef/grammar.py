@@ -59,8 +59,9 @@ from .features import (
     ValueSet, Var, fact, facts_of, form_only, fresh_mapping, match, merge,
     rename_units, rename_vars, variables_in_order, vars_of,
 )
+from .kitchen import PRIMITIVES
 from .memory import make_registry
-from .plans import PRIMITIVES, PlanCall, PlanFragment
+from .plans import PlanCall, PlanFragment
 
 CONSTRUCTION_KINDS = (
     "lemmatization", "lexical", "idiomatic", "semi-schematic", "abstract",

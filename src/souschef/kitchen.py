@@ -1,4 +1,4 @@
-"""Qualitative kitchen simulator.
+"""Qualitative kitchen simulator and its primitive inventory.
 
 The world is a tree of entities hanging off six fixed locations (pantry,
 fridge, freezer, counter-top, oven, tool-drawer). Food carries an exact
@@ -9,6 +9,11 @@ fresh state and never touch their input.
 States are compared by a content hash that ignores entity serial numbers and
 the clock; two kitchens that look alike hash alike, which is what the
 confluence and replay tests rely on.
+
+Every fact about one primitive is declared once, in its `PrimitiveSpec`:
+its slots and which of them it computes, its handler, its agent minutes,
+whether it runs passively, and the role whose value the discourse
+remembers. Plans, grammar and session read `PRIMITIVES`.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import InputError, SimulationError
+from .errors import (
+    DuplicateNameError, InputError, SimulationError, StructuralError,
+)
 from .features import Num, Struct, Sym, ValueSet, normalize_num
 from .serialize import fv_to_json
 
@@ -29,36 +36,9 @@ LOCATIONS = ("pantry", "fridge", "freezer", "counter-top", "oven", "tool-drawer"
 #: Search order when hunting for an ingredient stock.
 STORAGE_ORDER = ("counter-top", "pantry", "fridge", "freezer")
 
-PASSIVE_PRIMITIVES = frozenset({
-    "preheat-oven", "bake", "cool-until", "set-timer/elapse",
-})
-
-#: Minutes of agent work per primitive; None = taken from the duration slot.
-DEFAULT_DURATIONS: dict[str, Optional[int]] = {
-    "get-kitchen-state": 0,
-    "fetch-and-proportion": 1,
-    "fetch-tool": 1,
-    "fetch-container": 1,
-    "transfer-contents": 1,
-    "combine-homogeneous": 2,
-    "beat": 3,
-    "melt": 2,
-    "shape": 3,
-    "flatten": 2,
-    "portion-and-arrange": 5,
-    "line-with": 1,
-    "preheat-oven": 12,
-    "bake": None,
-    "sprinkle": 1,
-    "cool-until": None,
-    "set-timer/elapse": None,
-    "serve": 1,
-}
-
 #: One tunable table for every vague quantity in the domain.
 DEFAULT_CONFIG: dict = {
     "portion-grams": {"tablespoon": 17, "teaspoon": 5},
-    "durations": DEFAULT_DURATIONS,
     "burn-factor": Fraction(3, 2),
     "ambient-temperature": 20,
     "melt-temperature": 40,
@@ -136,14 +116,7 @@ class KitchenState:
         return self.entities.get(serial)
 
     def need(self, serial) -> KitchenEntity:
-        try:
-            serial = int(serial)
-        except (TypeError, ValueError):
-            raise SimulationError("missing-entity", f"not an entity id: {serial!r}")
-        e = self.entities.get(serial)
-        if e is None:
-            raise SimulationError("missing-entity", f"no entity #{serial}")
-        return e
+        return _need(self.entities, serial)
 
     def location(self, name: str) -> KitchenEntity:
         for loc_name, serial in self.locations:
@@ -206,6 +179,17 @@ class KitchenState:
         return {k: v for k, v in totals.items() if v != 0}
 
 
+def _need(entities: dict, serial) -> KitchenEntity:
+    try:
+        serial = int(serial)
+    except (TypeError, ValueError):
+        raise SimulationError("missing-entity", f"not an entity id: {serial!r}")
+    e = entities.get(serial)
+    if e is None:
+        raise SimulationError("missing-entity", f"no entity #{serial}")
+    return e
+
+
 def content_hash(ks: KitchenState) -> str:
     """Digest of the entity tree, blind to serial numbers and the clock."""
 
@@ -223,35 +207,9 @@ def content_hash(ks: KitchenState) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-# --- copy-on-write helpers (module-private; all return fresh dicts) ---------
-
-
-def _detach(entities: dict, serial: int) -> dict:
-    out = dict(entities)
-    for s, e in entities.items():
-        if serial in e.contents:
-            out[s] = e.with_contents(c for c in e.contents if c != serial)
-    return out
-
-
-def _attach(entities: dict, serial: int, parent: int) -> dict:
-    out = dict(entities)
-    out[parent] = out[parent].with_contents(out[parent].contents + (serial,))
-    return out
-
-
-def _move(entities: dict, serial: int, parent: int) -> dict:
-    return _attach(_detach(entities, serial), serial, parent)
-
-
-def _drop(entities: dict, serial: int) -> dict:
-    out = _detach(entities, serial)
-    del out[serial]
-    return out
-
-
 class _Builder:
-    """Scratch pad for one primitive application; commits to a fresh state."""
+    """Scratch pad for one primitive application: edits its own copy of the
+    entity map and commits it to a fresh state."""
 
     def __init__(self, ks: KitchenState):
         self.ks = ks
@@ -259,14 +217,7 @@ class _Builder:
         self.next_serial = ks.next_serial
 
     def get(self, serial: int) -> KitchenEntity:
-        try:
-            serial = int(serial)
-        except (TypeError, ValueError):
-            raise SimulationError("missing-entity", f"not an entity id: {serial!r}")
-        e = self.entities.get(serial)
-        if e is None:
-            raise SimulationError("missing-entity", f"no entity #{serial}")
-        return e
+        return _need(self.entities, serial)
 
     def put(self, e: KitchenEntity) -> None:
         self.entities[e.serial] = e
@@ -277,14 +228,26 @@ class _Builder:
                           _norm_comp(composition), tuple(sorted(properties)))
         self.next_serial += 1
         self.entities[e.serial] = e
-        self.entities = _attach(self.entities, e.serial, parent)
+        self._attach(e.serial, parent)
         return e
 
     def move(self, serial: int, parent: int) -> None:
-        self.entities = _move(self.entities, serial, parent)
+        self._detach(serial)
+        self._attach(serial, parent)
 
     def drop(self, serial: int) -> None:
-        self.entities = _drop(self.entities, serial)
+        self._detach(serial)
+        del self.entities[serial]
+
+    def _attach(self, serial: int, parent: int) -> None:
+        p = self.entities[parent]
+        self.entities[parent] = p.with_contents(p.contents + (serial,))
+
+    def _detach(self, serial: int) -> None:
+        for s, e in self.entities.items():  # replaces values, adds no key
+            if serial in e.contents:
+                self.entities[s] = e.with_contents(
+                    c for c in e.contents if c != serial)
 
     def commit(self, clock: Fraction) -> KitchenState:
         return KitchenState(f"ks-{self.ks.seq + 1}", clock, self.ks.locations,
@@ -296,10 +259,14 @@ class _Builder:
 
 
 def _merge_config(overrides: Optional[dict]) -> dict:
+    """DEFAULT_CONFIG with the overrides applied; a nested table such as
+    portion-grams takes new entries, but a top-level key must be known."""
     config = {k: dict(v) if isinstance(v, dict) else v
               for k, v in DEFAULT_CONFIG.items()}
     for key, value in (overrides or {}).items():
-        if isinstance(value, dict) and isinstance(config.get(key), dict):
+        if key not in DEFAULT_CONFIG:
+            raise InputError(f"unknown kitchen config key: {key}")
+        if isinstance(value, dict) and isinstance(config[key], dict):
             config[key].update(value)
         else:
             config[key] = value
@@ -325,6 +292,7 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
         serial += 1
 
     for name, loc_serial in locations:
+        placed = []
         for entry in loc_spec.get(name, []):
             kind = entry.get("kind")
             if not kind:
@@ -339,7 +307,7 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
                     raise InputError(f"non-positive amount for {kind}: {grams}")
                 entities[serial] = KitchenEntity(
                     serial, kind, composition=((kind, grams),), properties=props)
-                entities = _attach(entities, serial, loc_serial)
+                placed.append(serial)
                 serial += 1
             else:
                 count = int(entry.get("count", 1))
@@ -349,8 +317,9 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
                     entities[serial] = KitchenEntity(
                         serial, kind, container=bool(entry.get("container")),
                         properties=props)
-                    entities = _attach(entities, serial, loc_serial)
+                    placed.append(serial)
                     serial += 1
+        entities[loc_serial] = entities[loc_serial].with_contents(placed)
 
     ks = KitchenState("ks-0", Fraction(0), tuple(locations), entities, serial, 0)
     return ks, _merge_config(spec.get("config"))
@@ -471,6 +440,13 @@ class KitchenSimulator:
                 leaves.extend(ks.food_leaves(e))
         return leaves
 
+    def _foods(self, ks: KitchenState, value, verb: str) -> list[KitchenEntity]:
+        """The target's food leaves; there must be at least one."""
+        foods = self._target_leaves(ks, value)
+        if not foods:
+            raise SimulationError("missing-entity", f"nothing to {verb}")
+        return foods
+
     def _mixture_kind(self, composition) -> str:
         if self.ontology is not None:
             for concept, _ in composition:
@@ -484,12 +460,9 @@ class KitchenSimulator:
         return slots[role]
 
     def duration_of(self, name: str, slots: dict) -> Fraction:
-        table = self.config["durations"]
-        if name not in table:
-            raise SimulationError("unknown-primitive", name)
-        fixed = table[name]
-        if fixed is not None:
-            return Fraction(fixed)
+        minutes = _simulated(name).minutes
+        if minutes is not None:
+            return Fraction(minutes)
         value = slots.get("duration")
         if value is None:
             if name == "cool-until":
@@ -497,21 +470,16 @@ class KitchenSimulator:
             raise SimulationError("bad-duration", f"{name} needs a duration")
         return _minutes(value, name)
 
-    def is_passive(self, name: str) -> bool:
-        return name in PASSIVE_PRIMITIVES
-
     # -- entry point ----------------------------------------------------------
 
     def apply(self, name: str, slots: dict, ks: KitchenState,
               start: Optional[Fraction] = None,
               preheat_required: bool = False) -> ApplyResult:
-        handler = _HANDLERS.get(name)
-        if handler is None:
-            raise SimulationError("unknown-primitive", name)
+        spec = _simulated(name)
         dclock = self.duration_of(name, slots)
         start = ks.clock if start is None else start
         b = _Builder(ks)
-        outputs, warnings = handler(self, b, slots, preheat_required)
+        outputs, warnings = spec.handler(self, b, slots, preheat_required)
         new_clock = max(ks.clock, start + dclock)
         if name == "get-kitchen-state":
             return ApplyResult(ks, outputs, dclock, tuple(warnings))
@@ -570,9 +538,7 @@ class KitchenSimulator:
         dest = self._entity_ref(b.ks, destination)
         if not dest.container:
             raise SimulationError("bad-slots", "transfer destination not a container")
-        items = self._target_leaves(b.ks, source)
-        if not items:
-            raise SimulationError("missing-entity", "nothing to transfer")
+        items = self._foods(b.ks, source, "transfer")
         for item in items:
             if item.serial != dest.serial:
                 b.move(item.serial, dest.serial)
@@ -615,9 +581,7 @@ class KitchenSimulator:
     def _beat(self, b, slots, preheat_required):
         items = self._slot(slots, "items", "beat")
         self._require_tool(b, slots)
-        foods = self._target_leaves(b.ks, items)
-        if not foods:
-            raise SimulationError("missing-entity", "nothing to beat")
+        foods = self._foods(b.ks, items, "beat")
         end_state = slots.get("end-state")
         mixed = end_state.name if isinstance(end_state, Sym) else "mixed"
         container = b.ks.parent_of(foods[0].serial)
@@ -643,9 +607,7 @@ class KitchenSimulator:
 
     def _melt(self, b, slots, preheat_required):
         item = self._slot(slots, "item", "melt")
-        foods = self._target_leaves(b.ks, item)
-        if not foods:
-            raise SimulationError("missing-entity", "nothing to melt")
+        foods = self._foods(b.ks, item, "melt")
         for f in foods:
             b.put(b.get(f.serial).with_prop(
                 "temperature", Fraction(self.config["melt-temperature"])))
@@ -656,18 +618,14 @@ class KitchenSimulator:
         form = self._slot(slots, "shape", "shape")
         if not isinstance(form, Sym):
             raise SimulationError("bad-slots", "shape needs a shape symbol")
-        foods = self._target_leaves(b.ks, items)
-        if not foods:
-            raise SimulationError("missing-entity", "nothing to shape")
+        foods = self._foods(b.ks, items, "shape")
         for f in foods:
             b.put(b.get(f.serial).with_prop("shape", form.name))
         return {"resultant": _one_or_set(foods)}, []
 
     def _flatten(self, b, slots, preheat_required):
         items = self._slot(slots, "items", "flatten")
-        foods = self._target_leaves(b.ks, items)
-        if not foods:
-            raise SimulationError("missing-entity", "nothing to flatten")
+        foods = self._foods(b.ks, items, "flatten")
         for f in foods:
             b.put(b.get(f.serial).with_prop("shape", "flattened"))
         return {"resultant": _one_or_set(foods)}, []
@@ -753,9 +711,7 @@ class KitchenSimulator:
         limit = self._bake_limit(b.ks, target, duration)
         burned = limit is not None and effective > self.config["burn-factor"] * limit
 
-        foods = self._target_leaves(b.ks, target)
-        if not foods:
-            raise SimulationError("missing-entity", "nothing to bake")
+        foods = self._foods(b.ks, target, "bake")
         for f in foods:
             e = b.get(f.serial)
             e = e.with_prop("baked", "burned" if burned else "baked")
@@ -785,9 +741,7 @@ class KitchenSimulator:
 
     def _cool_until(self, b, slots, preheat_required):
         target = self._slot(slots, "target", "cool-until")
-        foods = self._target_leaves(b.ks, target)
-        if not foods:
-            raise SimulationError("missing-entity", "nothing to cool")
+        foods = self._foods(b.ks, target, "cool")
         ambient = Fraction(self.config["ambient-temperature"])
         for f in foods:
             b.put(b.get(f.serial).with_prop("temperature", ambient))
@@ -800,9 +754,7 @@ class KitchenSimulator:
     def _sprinkle(self, b, slots, preheat_required):
         targets = self._slot(slots, "targets", "sprinkle")
         topping_ref = self._slot(slots, "topping", "sprinkle")
-        foods = self._target_leaves(b.ks, targets)
-        if not foods:
-            raise SimulationError("missing-entity", "nothing to sprinkle on")
+        foods = self._foods(b.ks, targets, "sprinkle on")
         if isinstance(topping_ref, Sym):
             counter = b.ks.location("counter-top")
             topping = None
@@ -837,9 +789,7 @@ class KitchenSimulator:
 
     def _serve(self, b, slots, preheat_required):
         items = self._slot(slots, "items", "serve")
-        foods = self._target_leaves(b.ks, items)
-        if not foods:
-            raise SimulationError("missing-entity", "nothing to serve")
+        foods = self._foods(b.ks, items, "serve")
         plate = self._find_in_drawer(b.ks, "plate", container=True)
         b.move(plate.serial, b.ks.location("counter-top").serial)
         for f in foods:
@@ -867,28 +817,177 @@ def _grams(quantity: Num, unit_name: str) -> Fraction:
     return grams
 
 
-_HANDLERS = {
-    "get-kitchen-state": KitchenSimulator._get_kitchen_state,
-    "fetch-and-proportion": KitchenSimulator._fetch_and_proportion,
-    "fetch-tool": KitchenSimulator._fetch_tool,
-    "fetch-container": KitchenSimulator._fetch_container,
-    "transfer-contents": KitchenSimulator._transfer_contents,
-    "combine-homogeneous": KitchenSimulator._combine_homogeneous,
-    "beat": KitchenSimulator._beat,
-    "melt": KitchenSimulator._melt,
-    "shape": KitchenSimulator._shape,
-    "flatten": KitchenSimulator._flatten,
-    "portion-and-arrange": KitchenSimulator._portion_and_arrange,
-    "line-with": KitchenSimulator._line_with,
-    "preheat-oven": KitchenSimulator._preheat_oven,
-    "bake": KitchenSimulator._bake,
-    "sprinkle": KitchenSimulator._sprinkle,
-    "cool-until": KitchenSimulator._cool_until,
-    "set-timer/elapse": KitchenSimulator._set_timer,
-    "serve": KitchenSimulator._serve,
-}
+# ---------------------------------------------------------------------------
+# Primitive inventory
 
-PRIMITIVE_NAMES = tuple(sorted(_HANDLERS))
+KS = "kitchen-state"
+
+
+@dataclass(frozen=True)
+class PrimitiveSpec:
+    name: str
+    slots: tuple                  # ordered (role, semantic-type)
+    outputs: frozenset            # roles computed by the primitive
+    handler: Callable             # the KitchenSimulator method apply runs
+    minutes: Optional[int]        # agent minutes; None = the duration slot's
+    passive: bool = False         # hands control back to the agent at once
+    plot: Optional[str] = None    # role whose value the discourse remembers
+    optional: frozenset = frozenset()
+    inverse: tuple = ()           # alternative input-role sets for verification
+
+    @property
+    def roles(self) -> tuple:
+        return tuple(r for r, _ in self.slots)
+
+    def slot_type(self, role: str) -> Optional[str]:
+        for r, t in self.slots:
+            if r == role:
+                return t
+        return None
+
+    @property
+    def ks_in(self) -> Optional[str]:
+        for r, t in self.slots:
+            if t == KS and r not in self.outputs:
+                return r
+        return None
+
+    @property
+    def ks_out(self) -> Optional[str]:
+        for r, t in self.slots:
+            if t == KS and r in self.outputs:
+                return r
+        return None
+
+
+def _spec(name, handler, minutes, slots, outputs, passive=False, plot=None,
+          optional=(), inverse=()):
+    spec = PrimitiveSpec(name, tuple(slots), frozenset(outputs), handler,
+                         minutes, passive, plot, frozenset(optional),
+                         tuple(inverse))
+    if not spec.outputs:
+        raise StructuralError(f"primitive {name} computes nothing")
+    return spec
+
+
+_CORE_PRIMITIVES = [
+    _spec("get-kitchen-state", KitchenSimulator._get_kitchen_state, 0,
+          [("kitchen-state-out", KS)], {"kitchen-state-out"}),
+    _spec("fetch-and-proportion", KitchenSimulator._fetch_and_proportion, 1,
+          [("source-ks", KS), ("concept", "ingredient-concept"),
+           ("quantity", "quantity"), ("unit", "unit"),
+           ("target-container", "container"),
+           ("output-ks", KS), ("resultant", "entity-set")],
+          {"output-ks", "resultant"}, plot="resultant",
+          optional={"target-container"},
+          inverse=[{"source-ks", "concept", "quantity", "unit", "resultant"}]),
+    _spec("fetch-tool", KitchenSimulator._fetch_tool, 1,
+          [("input-ks", KS), ("concept", "tool"),
+           ("output-ks", KS), ("fetched", "entity-set")],
+          {"output-ks", "fetched"}, plot="fetched"),
+    _spec("fetch-container", KitchenSimulator._fetch_container, 1,
+          [("input-ks", KS), ("concept", "container"),
+           ("output-ks", KS), ("fetched", "entity-set")],
+          {"output-ks", "fetched"}, plot="fetched"),
+    _spec("transfer-contents", KitchenSimulator._transfer_contents, 1,
+          [("input-ks", KS), ("source", "entity-set"),
+           ("destination", "container"),
+           ("output-ks", KS), ("resultant", "container")],
+          {"output-ks", "resultant"}, plot="resultant"),
+    _spec("combine-homogeneous", KitchenSimulator._combine_homogeneous, 2,
+          [("input-ks", KS), ("target", "container"), ("tool", "tool"),
+           ("output-ks", KS), ("resultant", "entity-set")],
+          {"output-ks", "resultant"}, plot="resultant", optional={"tool"}),
+    _spec("beat", KitchenSimulator._beat, 3,
+          [("input-ks", KS), ("items", "entity-set"), ("tool", "tool"),
+           ("end-state", "condition"),
+           ("output-ks", KS), ("resultant", "entity-set")],
+          {"output-ks", "resultant"}, plot="resultant",
+          optional={"tool", "end-state"}),
+    _spec("melt", KitchenSimulator._melt, 2,
+          [("input-ks", KS), ("item", "entity-set"),
+           ("output-ks", KS), ("resultant", "entity-set")],
+          {"output-ks", "resultant"}, plot="resultant"),
+    _spec("shape", KitchenSimulator._shape, 3,
+          [("input-ks", KS), ("items", "entity-set"), ("shape", "shape"),
+           ("output-ks", KS), ("resultant", "entity-set")],
+          {"output-ks", "resultant"}, plot="resultant"),
+    _spec("flatten", KitchenSimulator._flatten, 2,
+          [("input-ks", KS), ("items", "entity-set"),
+           ("output-ks", KS), ("resultant", "entity-set")],
+          {"output-ks", "resultant"}, plot="resultant"),
+    _spec("portion-and-arrange", KitchenSimulator._portion_and_arrange, 5,
+          [("input-ks", KS), ("source-item", "entity-set"),
+           ("portion-unit", "unit"), ("destination", "container"),
+           ("output-ks", KS), ("portions", "entity-set")],
+          {"output-ks", "portions"}, plot="portions",
+          optional={"destination"},
+          inverse=[{"input-ks", "source-item", "portion-unit", "portions"}]),
+    _spec("line-with", KitchenSimulator._line_with, 1,
+          [("input-ks", KS), ("container", "container"),
+           ("liner", "ingredient-concept"),
+           ("output-ks", KS), ("lined", "container")],
+          {"output-ks", "lined"}, plot="lined"),
+    _spec("preheat-oven", KitchenSimulator._preheat_oven, 12,
+          [("input-ks", KS), ("device", "device"),
+           ("temperature", "temperature"),
+           ("output-ks", KS), ("heated", "device")],
+          {"output-ks", "heated"}, passive=True),
+    _spec("bake", KitchenSimulator._bake, None,
+          [("input-ks", KS), ("target", "entity-set"), ("oven", "device"),
+           ("duration", "duration"),
+           ("output-ks", KS), ("baked", "entity-set")],
+          {"output-ks", "baked"}, passive=True, plot="target",
+          optional={"oven"}),
+    _spec("sprinkle", KitchenSimulator._sprinkle, 1,
+          [("input-ks", KS), ("targets", "entity-set"),
+           ("topping", "entity-set"),
+           ("output-ks", KS), ("dusted", "entity-set")],
+          {"output-ks", "dusted"}, plot="dusted"),
+    _spec("cool-until", KitchenSimulator._cool_until, None,
+          [("input-ks", KS), ("target", "entity-set"),
+           ("condition", "condition"), ("duration", "duration"),
+           ("output-ks", KS), ("cooled", "entity-set")],
+          {"output-ks", "cooled"}, passive=True, plot="target",
+          optional={"condition", "duration"}),
+    _spec("set-timer/elapse", KitchenSimulator._set_timer, None,
+          [("input-ks", KS), ("duration", "duration"),
+           ("output-ks", KS), ("elapsed", "condition")],
+          {"output-ks", "elapsed"}, passive=True),
+    _spec("serve", KitchenSimulator._serve, 1,
+          [("input-ks", KS), ("items", "entity-set"),
+           ("output-ks", KS), ("served", "container")],
+          {"output-ks", "served"}, plot="served"),
+]
+
+
+class PrimitiveRegistry:
+    def __init__(self, specs):
+        self._specs: dict[str, PrimitiveSpec] = {}
+        for spec in specs:
+            if spec.name in self._specs:
+                raise DuplicateNameError(
+                    f"primitive already registered: {spec.name}")
+            self._specs[spec.name] = spec
+
+    def get(self, name: str) -> PrimitiveSpec:
+        if name not in self._specs:
+            raise InputError(f"unknown primitive: {name}")
+        return self._specs[name]
+
+    def names(self) -> tuple:
+        return tuple(sorted(self._specs))
+
+
+PRIMITIVES = PrimitiveRegistry(_CORE_PRIMITIVES)
+
+
+def _simulated(name: str) -> PrimitiveSpec:
+    """The spec the simulator runs; an unknown name is a simulation error."""
+    try:
+        return PRIMITIVES.get(name)
+    except InputError:
+        raise SimulationError("unknown-primitive", name) from None
 
 
 # ---------------------------------------------------------------------------

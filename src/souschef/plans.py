@@ -1,4 +1,4 @@
-"""Cooking plan representation: primitives, networks, completion, execution.
+"""Cooking plan representation: networks, completion, execution.
 
 A comprehension step yields a fragment: primitive calls over shared logic
 variables, with open slots. Completion binds every input slot from one of
@@ -10,6 +10,8 @@ work, cooling) hand control back to the agent immediately. Chunking stores
 recurrent subplans as composite operations that expand back into the same
 calls.
 
+The primitives themselves, with their slots, are declared in
+`kitchen.PRIMITIVES`; the executor reads each one's passivity there.
 Which slots of a call are outputs is decided in one place, `call_outputs`;
 `input_slots` and `output_vars` walk a call's slots on that rule, and terms
 are walked with `features.vars_of` and `features.rename_vars`.
@@ -25,177 +27,19 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import (
-    DataflowDeadlock, DuplicateNameError, InputError, StructuralError,
-    UnderstandingFailure, UnsupportedDirection,
+    DataflowDeadlock, InputError, StructuralError, UnderstandingFailure,
+    UnsupportedDirection,
 )
 from .features import (
     Bindings, Num, Sym, ValueSet, Var, normalize_num, rename_vars, vars_of,
 )
 from .kitchen import (
-    ExecutionTrace, KitchenSimulator, KitchenState, TraceRecord,
-    content_hash, slot_values_to_json,
+    KS, PRIMITIVES, ExecutionTrace, KitchenSimulator, KitchenState,
+    TraceRecord, content_hash, slot_values_to_json,
 )
 from .memory import PlotNode, resolve_entity
 from .narrative import SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION
 from .serialize import fv_from_json, fv_to_json
-
-# ---------------------------------------------------------------------------
-# Primitive inventory
-
-KS = "kitchen-state"
-
-
-@dataclass(frozen=True)
-class PrimitiveSpec:
-    name: str
-    slots: tuple                  # ordered (role, semantic-type)
-    outputs: frozenset            # roles computed by the primitive
-    optional: frozenset = frozenset()
-    inverse: tuple = ()           # alternative input-role sets for verification
-
-    @property
-    def roles(self) -> tuple:
-        return tuple(r for r, _ in self.slots)
-
-    def slot_type(self, role: str) -> Optional[str]:
-        for r, t in self.slots:
-            if r == role:
-                return t
-        return None
-
-    @property
-    def ks_in(self) -> Optional[str]:
-        for r, t in self.slots:
-            if t == KS and r not in self.outputs:
-                return r
-        return None
-
-    @property
-    def ks_out(self) -> Optional[str]:
-        for r, t in self.slots:
-            if t == KS and r in self.outputs:
-                return r
-        return None
-
-
-def _spec(name, slots, outputs, optional=(), inverse=()):
-    spec = PrimitiveSpec(name, tuple(slots), frozenset(outputs),
-                         frozenset(optional), tuple(inverse))
-    if not spec.outputs:
-        raise StructuralError(f"primitive {name} computes nothing")
-    return spec
-
-
-_CORE_PRIMITIVES = [
-    _spec("get-kitchen-state",
-          [("kitchen-state-out", KS)], {"kitchen-state-out"}),
-    _spec("fetch-and-proportion",
-          [("source-ks", KS), ("concept", "ingredient-concept"),
-           ("quantity", "quantity"), ("unit", "unit"),
-           ("target-container", "container"),
-           ("output-ks", KS), ("resultant", "entity-set")],
-          {"output-ks", "resultant"},
-          optional={"target-container"},
-          inverse=[{"source-ks", "concept", "quantity", "unit", "resultant"}]),
-    _spec("fetch-tool",
-          [("input-ks", KS), ("concept", "tool"),
-           ("output-ks", KS), ("fetched", "entity-set")],
-          {"output-ks", "fetched"}),
-    _spec("fetch-container",
-          [("input-ks", KS), ("concept", "container"),
-           ("output-ks", KS), ("fetched", "entity-set")],
-          {"output-ks", "fetched"}),
-    _spec("transfer-contents",
-          [("input-ks", KS), ("source", "entity-set"),
-           ("destination", "container"),
-           ("output-ks", KS), ("resultant", "container")],
-          {"output-ks", "resultant"}),
-    _spec("combine-homogeneous",
-          [("input-ks", KS), ("target", "container"), ("tool", "tool"),
-           ("output-ks", KS), ("resultant", "entity-set")],
-          {"output-ks", "resultant"}, optional={"tool"}),
-    _spec("beat",
-          [("input-ks", KS), ("items", "entity-set"), ("tool", "tool"),
-           ("end-state", "condition"),
-           ("output-ks", KS), ("resultant", "entity-set")],
-          {"output-ks", "resultant"}, optional={"tool", "end-state"}),
-    _spec("melt",
-          [("input-ks", KS), ("item", "entity-set"),
-           ("output-ks", KS), ("resultant", "entity-set")],
-          {"output-ks", "resultant"}),
-    _spec("shape",
-          [("input-ks", KS), ("items", "entity-set"), ("shape", "shape"),
-           ("output-ks", KS), ("resultant", "entity-set")],
-          {"output-ks", "resultant"}),
-    _spec("flatten",
-          [("input-ks", KS), ("items", "entity-set"),
-           ("output-ks", KS), ("resultant", "entity-set")],
-          {"output-ks", "resultant"}),
-    _spec("portion-and-arrange",
-          [("input-ks", KS), ("source-item", "entity-set"),
-           ("portion-unit", "unit"), ("destination", "container"),
-           ("output-ks", KS), ("portions", "entity-set")],
-          {"output-ks", "portions"},
-          optional={"destination"},
-          inverse=[{"input-ks", "source-item", "portion-unit", "portions"}]),
-    _spec("line-with",
-          [("input-ks", KS), ("container", "container"),
-           ("liner", "ingredient-concept"),
-           ("output-ks", KS), ("lined", "container")],
-          {"output-ks", "lined"}),
-    _spec("preheat-oven",
-          [("input-ks", KS), ("device", "device"),
-           ("temperature", "temperature"),
-           ("output-ks", KS), ("heated", "device")],
-          {"output-ks", "heated"}),
-    _spec("bake",
-          [("input-ks", KS), ("target", "entity-set"), ("oven", "device"),
-           ("duration", "duration"),
-           ("output-ks", KS), ("baked", "entity-set")],
-          {"output-ks", "baked"}, optional={"oven"}),
-    _spec("sprinkle",
-          [("input-ks", KS), ("targets", "entity-set"),
-           ("topping", "entity-set"),
-           ("output-ks", KS), ("dusted", "entity-set")],
-          {"output-ks", "dusted"}),
-    _spec("cool-until",
-          [("input-ks", KS), ("target", "entity-set"),
-           ("condition", "condition"), ("duration", "duration"),
-           ("output-ks", KS), ("cooled", "entity-set")],
-          {"output-ks", "cooled"}, optional={"condition", "duration"}),
-    _spec("set-timer/elapse",
-          [("input-ks", KS), ("duration", "duration"),
-           ("output-ks", KS), ("elapsed", "condition")],
-          {"output-ks", "elapsed"}),
-    _spec("serve",
-          [("input-ks", KS), ("items", "entity-set"),
-           ("output-ks", KS), ("served", "container")],
-          {"output-ks", "served"}),
-]
-
-
-class PrimitiveRegistry:
-    def __init__(self):
-        self._specs: dict[str, PrimitiveSpec] = {}
-        for spec in _CORE_PRIMITIVES:
-            self.register(spec)
-
-    def register(self, spec: PrimitiveSpec) -> None:
-        if spec.name in self._specs:
-            raise DuplicateNameError(f"primitive already registered: {spec.name}")
-        self._specs[spec.name] = spec
-
-    def get(self, name: str) -> PrimitiveSpec:
-        if name not in self._specs:
-            raise InputError(f"unknown primitive: {name}")
-        return self._specs[name]
-
-    def names(self) -> tuple:
-        return tuple(sorted(self._specs))
-
-
-PRIMITIVES = PrimitiveRegistry()
-
 
 # ---------------------------------------------------------------------------
 # Calls, fragments, networks
@@ -339,9 +183,7 @@ _ROLE_DEFAULT_FEATURE = {
 class SlotStatus:
     call_id: str
     role: str
-    variable: Optional[str]
     bound_by_language: bool
-    tag: Optional[str]  # resolution tag when open
 
 
 def normalize_fragment(fragment: PlanFragment, next_index) -> None:
@@ -388,53 +230,35 @@ def _rename_fragment(fragment: PlanFragment, base: int) -> None:
                        for v, kind in fragment.locate.items()}
 
 
-def classify_slots(fragment: PlanFragment, ontology,
-                   linked_vars: set[str]) -> list[SlotStatus]:
-    """Status of every declared slot of every call in the fragment.
-
-    linked_vars: variables produced by some call (this fragment or earlier in
-    the session); a slot consuming one was bound by parsing, i.e. language.
+def classify_slots(fragment: PlanFragment, ontology) -> list[SlotStatus]:
+    """Status of every slot of every call in the fragment that raises a
+    question: each slot present, and each absent input slot a default can
+    fill. A present slot is bound by language when it holds a constant, or
+    is an input whose variables calls of the fragment produce.
     """
-    produced = fragment.vars_produced() | set(linked_vars)
+    produced = fragment.vars_produced()
     out = []
     for call in fragment.calls:
         spec = PRIMITIVES.get(call.primitive)
         for role in spec.roles:
             term = call.slot(role)
             is_output = role in spec.outputs
-            if term is None:
-                if is_output:
-                    continue  # normalize_fragment materializes these
-                feature = _ROLE_DEFAULT_FEATURE.get(role)
-                has_default = (
-                    feature is not None and ontology is not None
-                    and ontology.knows(call.primitive)
-                    and ontology.feature(call.primitive, feature) is not None)
-                if role == "target-container" or has_default:
-                    out.append(SlotStatus(call.call_id, role, None, False,
-                                          "ontology-resolvable"))
-                # silent omission for defaultless optional slots
-                continue
-            term_vars = list(vars_of(term))
-            if not term_vars:
-                out.append(SlotStatus(call.call_id, role, None, True, None))
+            if term is not None:
+                term_vars = vars_of(term)
+                bound = not term_vars or (
+                    not is_output and all(v in produced for v in term_vars))
+                out.append(SlotStatus(call.call_id, role, bound))
                 continue
             if is_output:
-                v = term_vars[0]
-                out.append(SlotStatus(call.call_id, role, v, False,
-                                      "simulation-computable"))
-                continue
-            if all(v in produced for v in term_vars):
-                out.append(SlotStatus(call.call_id, role, term_vars[0], True, None))
-                continue
-            v = next(x for x in term_vars if x not in produced)
-            if v in fragment.locate:
-                tag = "simulation-computable"
-            elif v in fragment.discourse or spec.slot_type(role) == KS:
-                tag = "discourse-resolvable"
-            else:
-                tag = "ontology-resolvable"
-            out.append(SlotStatus(call.call_id, role, v, False, tag))
+                continue  # normalize_fragment materializes these
+            feature = _ROLE_DEFAULT_FEATURE.get(role)
+            has_default = (
+                feature is not None and ontology is not None
+                and ontology.knows(call.primitive)
+                and ontology.feature(call.primitive, feature) is not None)
+            if role == "target-container" or has_default:
+                out.append(SlotStatus(call.call_id, role, False))
+            # silent omission for defaultless optional slots
     return out
 
 
@@ -745,9 +569,8 @@ class Executor:
 
         result = self.sim.apply(call.primitive, values, before, start=start,
                                 preheat_required=self.preheat_required)
-        passive = self.sim.is_passive(call.primitive)
         end = start + result.dclock
-        self.agent = start if passive else end
+        self.agent = start if spec.passive else end
         self.state = result.state
 
         answers = []
@@ -758,7 +581,7 @@ class Executor:
                 continue
             if spec.slot_type(role) == KS:
                 value = Sym(f"ks:{self.state.state_id}")
-                ready_at = start if passive else end
+                ready_at = start if spec.passive else end
             elif role in result.outputs:
                 value = result.outputs[role]
                 ready_at = end

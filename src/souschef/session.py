@@ -32,7 +32,7 @@ from typing import Optional
 from .errors import InputError, UnderstandingFailure
 from .features import Num, Var
 from .grammar import Grammar, extract_fragment, split_sentences
-from .kitchen import KitchenSimulator, KitchenState
+from .kitchen import PRIMITIVES, KitchenSimulator, KitchenState
 from .memory import Ontology, PersonalDynamicMemory, advance_plot, parse_number_text
 from .narrative import (
     SOURCE_LANGUAGE, SOURCE_SIMULATION, IntegrativeNarrativeNetwork,
@@ -41,26 +41,6 @@ from .plans import (
     Executor, PlanCall, PlanNetwork, classify_slots,
     complete_plan, normalize_fragment, question_id, serials_in,
 )
-
-#: slot whose runtime value becomes the discourse-accessible entry for a call
-_PLOT_ROLE = {
-    "fetch-and-proportion": "resultant",
-    "fetch-tool": "fetched",
-    "fetch-container": "fetched",
-    "transfer-contents": "resultant",
-    "combine-homogeneous": "resultant",
-    "beat": "resultant",
-    "melt": "resultant",
-    "shape": "resultant",
-    "flatten": "resultant",
-    "portion-and-arrange": "portions",
-    "line-with": "lined",
-    "bake": "target",
-    "cool-until": "target",
-    "sprinkle": "dusted",
-    "serve": "served",
-}
-
 
 # ---------------------------------------------------------------------------
 # Recipe documents
@@ -224,7 +204,7 @@ class CookingSession:
 
         normalize_fragment(fragment, self._next_index)
 
-        for st in classify_slots(fragment, self.ontology, set()):
+        for st in classify_slots(fragment, self.ontology):
             qid = question_id(st.call_id, st.role)
             call = next(c for c in fragment.calls if c.call_id == st.call_id)
             self.inn.raise_question(
@@ -246,17 +226,15 @@ class CookingSession:
 
         calls = [replace(c, provenance=index) for c in completion.calls]
         for ans in completion.answers:
-            qid = question_id(ans.call_id, ans.role)
-            if self.inn.has_question(qid):
-                self.inn.record_answer(qid, ans.source, ans.value, index)
+            self.inn.record_answer(question_id(ans.call_id, ans.role),
+                                   ans.source, ans.value, index)
 
         if any(c.primitive == "preheat-oven" for c in calls):
             self.executor.preheat_required = True
         exec_answers = self.executor.run(calls)
         for ans in exec_answers:
-            qid = question_id(ans.call_id, ans.role)
-            if self.inn.has_question(qid):
-                self.inn.record_answer(qid, SOURCE_SIMULATION, ans.value, index)
+            self.inn.record_answer(question_id(ans.call_id, ans.role),
+                                   SOURCE_SIMULATION, ans.value, index)
             if ans.variable is not None:
                 for serial in serials_in(ans.value):
                     self.producer_of[serial] = ans.variable
@@ -264,7 +242,7 @@ class CookingSession:
         state = self.executor.state
         new_entities = []
         for c in calls:
-            role = _PLOT_ROLE.get(c.primitive)
+            role = PRIMITIVES.get(c.primitive).plot
             if role is None:
                 continue
             term = c.slot(role)

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from souschef import KitchenSimulator, SimulationError, content_hash, initial_kitchen
+from souschef import (
+    PRIMITIVES, InputError, KitchenSimulator, SimulationError, content_hash,
+    initial_kitchen,
+)
 from souschef.features import Num, Struct, Sym
 
 
@@ -29,6 +32,19 @@ def test_default_kitchen_layout():
     assert "white-sugar" in kinds and "wheat-flour" in kinds
     assert ks.location("counter-top").contents == ()
     assert config["portion-grams"]["tablespoon"] == 17
+
+
+def test_kitchen_config_rejects_unknown_keys():
+    # a retired or misspelled knob must not be ignored in silence
+    for key in ("durations", "burn_factor"):
+        with pytest.raises(InputError, match=key):
+            initial_kitchen({"config": {key: 1}})
+        with pytest.raises(InputError, match=key):
+            KitchenSimulator(None, {key: 1})
+    # nested tables still take new entries
+    _, config = initial_kitchen({"config": {"portion-grams": {"cup": 240}}})
+    assert config["portion-grams"] == {"tablespoon": 17, "teaspoon": 5,
+                                       "cup": 240}
 
 
 def test_content_hash_ignores_serial_assignment_order():
@@ -292,13 +308,22 @@ def test_unknown_primitive_rejected(sim):
         sim.apply("julienne", {}, ks)
 
 
-def test_passive_primitives_do_not_hold_the_agent(sim):
-    assert sim.is_passive("bake")
-    assert sim.is_passive("preheat-oven")
-    assert not sim.is_passive("beat")
+def test_passive_primitives_do_not_hold_the_agent():
+    assert PRIMITIVES.get("bake").passive
+    assert PRIMITIVES.get("preheat-oven").passive
+    assert not PRIMITIVES.get("beat").passive
 
 
-def test_durations_come_from_config_or_slots(sim):
+def test_every_primitive_spec_is_whole():
+    for name in PRIMITIVES.names():
+        spec = PRIMITIVES.get(name)
+        assert getattr(KitchenSimulator, spec.handler.__name__) is spec.handler
+        assert spec.plot is None or spec.plot in spec.roles, name
+        # fixed minutes, or read from the duration slot, never both
+        assert (spec.minutes is None) == ("duration" in spec.roles), name
+
+
+def test_durations_come_from_spec_or_slots(sim):
     assert sim.duration_of("beat", {}) == Fraction(3)
     assert sim.duration_of("bake",
                            {"duration": Num(Fraction(1), "hour")}) == Fraction(60)
