@@ -12,8 +12,9 @@ confluence and replay tests rely on.
 
 Every fact about one primitive is declared once, in its `PrimitiveSpec`:
 its slots and which of them it computes, its handler, its agent minutes,
-whether it runs passively, and the role whose value the discourse
-remembers. Plans, grammar and session read `PRIMITIVES`.
+whether it runs passively, the role whose value the discourse remembers,
+the ontology defaults of its absent input slots, and the direction its
+verifier checks. Plans, grammar and session read `PRIMITIVES`.
 """
 
 from __future__ import annotations
@@ -355,6 +356,18 @@ def _ids(value) -> list[int]:
             out.append(int(m.value))
         return sorted(out)
     raise SimulationError("missing-entity", f"not an entity reference: {value!r}")
+
+
+def serials_in(value) -> list[int]:
+    """Entity serials named by a value: unitless integers, also in sets."""
+    if isinstance(value, Num) and value.unit is None and value.value.denominator == 1:
+        return [int(value.value)]
+    if isinstance(value, ValueSet):
+        out = []
+        for m in value:
+            out.extend(serials_in(m))
+        return out
+    return []
 
 
 def _id_set(serials) -> ValueSet:
@@ -796,6 +809,35 @@ class KitchenSimulator:
             b.move(f.serial, plate.serial)
         return {"served": Num(Fraction(plate.serial))}, []
 
+    # -- verifiers -------------------------------------------------------------
+    # Each checks outputs already known against the stated inputs and
+    # returns (delta, detail); delta 0 means consistent, None unmeasurable.
+
+    def _verify_fetch_and_proportion(self, ks, values):
+        concept = values["concept"]
+        unit = values["unit"]
+        stated = values["quantity"].value * normalize_num(
+            Num(Fraction(1), unit.name if isinstance(unit, Sym) else str(unit)))[1]
+        total = Fraction(0)
+        for serial in serials_in(values["resultant"]):
+            for c, g in ks.need(serial).composition:
+                if self._kind_matches(c, concept.name):
+                    total += g
+        return (abs(total - stated),
+                f"found {total} g of {concept.name}, recipe says {stated} g")
+
+    def _verify_portion_and_arrange(self, ks, values):
+        unit = values["portion-unit"]
+        per = self.config["portion-grams"].get(
+            unit.name if isinstance(unit, Sym) else str(unit))
+        if per is None:
+            return None, "unknown portion unit"
+        per = Fraction(per)
+        worst = Fraction(0)
+        for serial in serials_in(values["portions"]):
+            worst = max(worst, abs(ks.need(serial).grams - per))
+        return worst, f"portion mass off by {worst} g"
+
 
 def _one_or_set(foods: list[KitchenEntity]):
     if len(foods) == 1:
@@ -824,6 +866,15 @@ KS = "kitchen-state"
 
 
 @dataclass(frozen=True)
+class Default:
+    """Where an absent input slot's value comes from: the ontology feature
+    `feature`, read on the primitive's own concept, or with `of` set on the
+    concept that the symbol in the call's `of` slot names."""
+    feature: str
+    of: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class PrimitiveSpec:
     name: str
     slots: tuple                  # ordered (role, semantic-type)
@@ -832,8 +883,9 @@ class PrimitiveSpec:
     minutes: Optional[int]        # agent minutes; None = the duration slot's
     passive: bool = False         # hands control back to the agent at once
     plot: Optional[str] = None    # role whose value the discourse remembers
-    optional: frozenset = frozenset()
-    inverse: tuple = ()           # alternative input-role sets for verification
+    defaults: dict = field(default_factory=dict)  # input role -> Default
+    direction: Optional[frozenset] = None  # roles the verifier reads
+    verifier: Optional[Callable] = None    # KitchenSimulator method, checks it
 
     @property
     def roles(self) -> tuple:
@@ -861,12 +913,16 @@ class PrimitiveSpec:
 
 
 def _spec(name, handler, minutes, slots, outputs, passive=False, plot=None,
-          optional=(), inverse=()):
+          defaults=None, direction=None, verifier=None):
     spec = PrimitiveSpec(name, tuple(slots), frozenset(outputs), handler,
-                         minutes, passive, plot, frozenset(optional),
-                         tuple(inverse))
+                         minutes, passive, plot, dict(defaults or {}),
+                         None if direction is None else frozenset(direction),
+                         verifier)
     if not spec.outputs:
         raise StructuralError(f"primitive {name} computes nothing")
+    if (spec.direction is None) != (spec.verifier is None):
+        raise StructuralError(
+            f"primitive {name} needs both a direction and a verifier, or neither")
     return spec
 
 
@@ -879,8 +935,10 @@ _CORE_PRIMITIVES = [
            ("target-container", "container"),
            ("output-ks", KS), ("resultant", "entity-set")],
           {"output-ks", "resultant"}, plot="resultant",
-          optional={"target-container"},
-          inverse=[{"source-ks", "concept", "quantity", "unit", "resultant"}]),
+          defaults={"target-container": Default("preferred-container",
+                                                of="concept")},
+          direction={"source-ks", "concept", "quantity", "unit", "resultant"},
+          verifier=KitchenSimulator._verify_fetch_and_proportion),
     _spec("fetch-tool", KitchenSimulator._fetch_tool, 1,
           [("input-ks", KS), ("concept", "tool"),
            ("output-ks", KS), ("fetched", "entity-set")],
@@ -897,13 +955,15 @@ _CORE_PRIMITIVES = [
     _spec("combine-homogeneous", KitchenSimulator._combine_homogeneous, 2,
           [("input-ks", KS), ("target", "container"), ("tool", "tool"),
            ("output-ks", KS), ("resultant", "entity-set")],
-          {"output-ks", "resultant"}, plot="resultant", optional={"tool"}),
+          {"output-ks", "resultant"}, plot="resultant",
+          defaults={"tool": Default("default-tool")}),
     _spec("beat", KitchenSimulator._beat, 3,
           [("input-ks", KS), ("items", "entity-set"), ("tool", "tool"),
            ("end-state", "condition"),
            ("output-ks", KS), ("resultant", "entity-set")],
           {"output-ks", "resultant"}, plot="resultant",
-          optional={"tool", "end-state"}),
+          defaults={"tool": Default("default-tool"),
+                    "end-state": Default("default-end-state")}),
     _spec("melt", KitchenSimulator._melt, 2,
           [("input-ks", KS), ("item", "entity-set"),
            ("output-ks", KS), ("resultant", "entity-set")],
@@ -921,8 +981,9 @@ _CORE_PRIMITIVES = [
            ("portion-unit", "unit"), ("destination", "container"),
            ("output-ks", KS), ("portions", "entity-set")],
           {"output-ks", "portions"}, plot="portions",
-          optional={"destination"},
-          inverse=[{"input-ks", "source-item", "portion-unit", "portions"}]),
+          defaults={"destination": Default("default-destination")},
+          direction={"input-ks", "source-item", "portion-unit", "portions"},
+          verifier=KitchenSimulator._verify_portion_and_arrange),
     _spec("line-with", KitchenSimulator._line_with, 1,
           [("input-ks", KS), ("container", "container"),
            ("liner", "ingredient-concept"),
@@ -938,7 +999,7 @@ _CORE_PRIMITIVES = [
            ("duration", "duration"),
            ("output-ks", KS), ("baked", "entity-set")],
           {"output-ks", "baked"}, passive=True, plot="target",
-          optional={"oven"}),
+          defaults={"oven": Default("default-device")}),
     _spec("sprinkle", KitchenSimulator._sprinkle, 1,
           [("input-ks", KS), ("targets", "entity-set"),
            ("topping", "entity-set"),
@@ -949,7 +1010,7 @@ _CORE_PRIMITIVES = [
            ("condition", "condition"), ("duration", "duration"),
            ("output-ks", KS), ("cooled", "entity-set")],
           {"output-ks", "cooled"}, passive=True, plot="target",
-          optional={"condition", "duration"}),
+          defaults={"condition": Default("default-condition")}),
     _spec("set-timer/elapse", KitchenSimulator._set_timer, None,
           [("input-ks", KS), ("duration", "duration"),
            ("output-ks", KS), ("elapsed", "condition")],

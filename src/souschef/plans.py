@@ -11,7 +11,8 @@ recurrent subplans as composite operations that expand back into the same
 calls.
 
 The primitives themselves, with their slots, are declared in
-`kitchen.PRIMITIVES`; the executor reads each one's passivity there.
+`kitchen.PRIMITIVES`; execution, completion and verification read each
+one's passivity, slot defaults and verifier there.
 Which slots of a call are outputs is decided in one place, `call_outputs`;
 `input_slots` and `output_vars` walk a call's slots on that rule, and terms
 are walked with `features.vars_of` and `features.rename_vars`.
@@ -30,12 +31,10 @@ from .errors import (
     DataflowDeadlock, InputError, StructuralError, UnderstandingFailure,
     UnsupportedDirection,
 )
-from .features import (
-    Bindings, Num, Sym, ValueSet, Var, normalize_num, rename_vars, vars_of,
-)
+from .features import Bindings, Num, Sym, ValueSet, Var, rename_vars, vars_of
 from .kitchen import (
     KS, PRIMITIVES, ExecutionTrace, KitchenSimulator, KitchenState,
-    TraceRecord, content_hash, slot_values_to_json,
+    TraceRecord, content_hash, serials_in, slot_values_to_json,
 )
 from .memory import PlotNode, resolve_entity
 from .narrative import SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION
@@ -168,16 +167,6 @@ class PlanNetwork:
 # ---------------------------------------------------------------------------
 # Slot classification (shared by question raising and completion)
 
-#: ontology feature consulted for each defaultable role, on the concept named
-#: after the primitive itself.
-_ROLE_DEFAULT_FEATURE = {
-    "tool": "default-tool",
-    "end-state": "default-end-state",
-    "destination": "default-destination",
-    "oven": "default-device",
-    "condition": "default-condition",
-}
-
 
 @dataclass(frozen=True)
 class SlotStatus:
@@ -230,11 +219,26 @@ def _rename_fragment(fragment: PlanFragment, base: int) -> None:
                        for v, kind in fragment.locate.items()}
 
 
+def _slot_default(call: PlanCall, spec, role: str, ontology):
+    """The ontology's value for an absent input slot, or None: the feature
+    the spec's `Default` for the role names, read on the primitive's own
+    concept or on the concept its `of` slot names."""
+    default = spec.defaults.get(role)
+    if default is None or ontology is None:
+        return None
+    concept = Sym(call.primitive) if default.of is None else call.slot(default.of)
+    if not isinstance(concept, Sym) or not ontology.knows(concept.name):
+        return None
+    value = ontology.feature(concept.name, default.feature)
+    return None if value is None else Sym(str(value))
+
+
 def classify_slots(fragment: PlanFragment, ontology) -> list[SlotStatus]:
     """Status of every slot of every call in the fragment that raises a
-    question: each slot present, and each absent input slot a default can
-    fill. A present slot is bound by language when it holds a constant, or
-    is an input whose variables calls of the fragment produce.
+    question: each slot present, and each absent input slot that
+    `_slot_default` can fill, the same value completion then binds. A
+    present slot is bound by language when it holds a constant, or is an
+    input whose variables calls of the fragment produce.
     """
     produced = fragment.vars_produced()
     out = []
@@ -251,14 +255,8 @@ def classify_slots(fragment: PlanFragment, ontology) -> list[SlotStatus]:
                 continue
             if is_output:
                 continue  # normalize_fragment materializes these
-            feature = _ROLE_DEFAULT_FEATURE.get(role)
-            has_default = (
-                feature is not None and ontology is not None
-                and ontology.knows(call.primitive)
-                and ontology.feature(call.primitive, feature) is not None)
-            if role == "target-container" or has_default:
+            if _slot_default(call, spec, role, ontology) is not None:
                 out.append(SlotStatus(call.call_id, role, False))
-            # silent omission for defaultless optional slots
     return out
 
 
@@ -357,9 +355,11 @@ def _complete_slot(call, spec, role, term, fragment, node, ks, ontology,
     question, so multiple resolutions fold into a single combined answer.
     """
     if term is None:
-        if zero_pass:
+        value = None if zero_pass else _slot_default(call, spec, role, ontology)
+        if value is None:
             return None
-        return _fill_default(call, spec, role, ontology)
+        return (value, SlotAnswer(call.call_id, role, None, SOURCE_ONTOLOGY,
+                                  value))
 
     if not [v for v in vars_of(term) if v not in bound_vars]:
         return None
@@ -419,12 +419,11 @@ def _complete_slot(call, spec, role, term, fragment, node, ks, ontology,
                 break
             if zero_pass:
                 continue
-            filled = _fill_default(call, spec, role, ontology)
-            if filled is not None and isinstance(term, Var):
-                new_term, answer = filled
-                substitutions[v] = new_term
-                return (new_term, SlotAnswer(call.call_id, role, v,
-                                             answer.source, answer.value))
+            value = _slot_default(call, spec, role, ontology)
+            if value is not None and isinstance(term, Var):
+                substitutions[v] = value
+                return (value, SlotAnswer(call.call_id, role, v,
+                                          SOURCE_ONTOLOGY, value))
             raise UnderstandingFailure(
                 f"no knowledge source can fill {role} of {call.primitive}",
                 question_id=question_id(call.call_id, role))
@@ -440,28 +439,6 @@ def _complete_slot(call, spec, role, term, fragment, node, ks, ontology,
                           _ids_term(tuple(combined_ids), {}),
                           rank=first.rank, candidates=first.candidates)
     return (term, combined)
-
-
-def _fill_default(call, spec, role, ontology):
-    if ontology is None:
-        return None
-    if role == "target-container":
-        concept = call.slot("concept")
-        if isinstance(concept, Sym) and ontology.knows(concept.name):
-            preferred = ontology.feature(concept.name, "preferred-container")
-            if preferred is not None:
-                value = Sym(str(preferred))
-                return (value, SlotAnswer(call.call_id, role, None,
-                                          SOURCE_ONTOLOGY, value))
-        return None
-    feature = _ROLE_DEFAULT_FEATURE.get(role)
-    if feature is None or not ontology.knows(call.primitive):
-        return None
-    default = ontology.feature(call.primitive, feature)
-    if default is None:
-        return None
-    value = Sym(str(default))
-    return (value, SlotAnswer(call.call_id, role, None, SOURCE_ONTOLOGY, value))
 
 
 def _ids_term(ids: tuple, producer_of: dict):
@@ -515,16 +492,16 @@ class ExecutionOutcome:
 
 
 class Executor:
-    """Incremental data-flow executor with critical-path timing."""
+    """Incremental data-flow executor with critical-path timing. From the
+    first `run` given a preheat-oven on, baking in a cold oven is an error."""
 
     def __init__(self, sim: KitchenSimulator, ks: KitchenState,
-                 preheat_required: bool = False,
                  rng: Optional[random.Random] = None):
         self.sim = sim
         self.state = ks
         self.bindings = Bindings()
         self.trace = ExecutionTrace(content_hash(ks))
-        self.preheat_required = preheat_required
+        self.preheat_required = False
         self.rng = rng
         self.agent = Fraction(0)
         self.var_ready: dict[str, Fraction] = {}
@@ -545,6 +522,8 @@ class Executor:
 
     def run(self, calls: list) -> list:
         """Execute the given calls to completion; returns output answers."""
+        if any(c.primitive == "preheat-oven" for c in calls):
+            self.preheat_required = True
         # (call, its input variables); a call is ready once all are bound
         pending = [(c, [v for _, t in input_slots(c) for v in vars_of(t)])
                    for c in calls]
@@ -632,18 +611,6 @@ def _flatten_sets(value):
     return ValueSet(members)
 
 
-def serials_in(value) -> list[int]:
-    """Entity serials named by a value: unitless integers, also in sets."""
-    if isinstance(value, Num) and value.unit is None and value.value.denominator == 1:
-        return [int(value.value)]
-    if isinstance(value, ValueSet):
-        out = []
-        for m in value:
-            out.extend(serials_in(m))
-        return out
-    return []
-
-
 def execute_plan(network: PlanNetwork, ks: KitchenState, sim: KitchenSimulator,
                  seed: Optional[int] = None) -> ExecutionOutcome:
     """Run a complete network from scratch against a kitchen state."""
@@ -653,11 +620,9 @@ def execute_plan(network: PlanNetwork, ks: KitchenState, sim: KitchenSimulator,
         raise InputError(
             "plan has open slots: "
             + ", ".join(f"{cid}.{role}(?{v})" for cid, role, v in stuck))
-    preheat = any(c.primitive == "preheat-oven" for c in network.calls)
     rng = random.Random(seed) if seed is not None else None
-    executor = Executor(sim, ks, preheat_required=preheat, rng=rng)
-    calls = expand_composites(network.calls)
-    answers = executor.run(calls)
+    executor = Executor(sim, ks, rng=rng)
+    answers = executor.run(expand_composites(network.calls))
     return ExecutionOutcome(executor.state, executor.bindings, executor.trace,
                             answers)
 
@@ -679,52 +644,17 @@ class VerificationReport:
 
 def verify_direction(primitive: str, values: dict, ks: KitchenState,
                      sim: KitchenSimulator) -> VerificationReport:
-    """Check already-known outputs against the recipe's stated inputs."""
+    """Check already-known outputs against the recipe's stated inputs with
+    the verifier the primitive's spec declares for its direction."""
     spec = PRIMITIVES.get(primitive)
-    known = frozenset(r for r in values if r in {s for s, _ in spec.slots})
-    usable = [d for d in spec.inverse if d <= known]
-    if not usable:
+    known = frozenset(r for r in values if r in spec.roles)
+    if spec.direction is None or not spec.direction <= known:
         raise UnsupportedDirection(
             f"{primitive} declares no direction over {sorted(known)}")
-
-    if primitive == "fetch-and-proportion":
-        concept = values["concept"]
-        quantity = values["quantity"]
-        unit = values["unit"]
-        stated = quantity.value * normalize_num(
-            Num(Fraction(1), unit.name if isinstance(unit, Sym) else str(unit)))[1]
-        total = Fraction(0)
-        for serial in serials_in(values["resultant"]):
-            entity = ks.need(serial)
-            for c, g in entity.composition:
-                if c == concept.name or (
-                        sim.ontology is not None
-                        and sim.ontology.is_a(c, concept.name)):
-                    total += g
-        delta = abs(total - stated)
-        if delta == 0:
-            return VerificationReport("consistent", Fraction(0))
-        return VerificationReport(
-            "inconsistent", delta,
-            f"found {total} g of {concept.name}, recipe says {stated} g")
-
-    if primitive == "portion-and-arrange":
-        unit = values["portion-unit"]
-        per = sim.config["portion-grams"].get(
-            unit.name if isinstance(unit, Sym) else str(unit))
-        if per is None:
-            return VerificationReport("inconsistent", None, "unknown portion unit")
-        per = Fraction(per)
-        worst = Fraction(0)
-        for serial in serials_in(values["portions"]):
-            entity = ks.need(serial)
-            worst = max(worst, abs(entity.grams - per))
-        if worst == 0:
-            return VerificationReport("consistent", Fraction(0))
-        return VerificationReport("inconsistent", worst,
-                                  f"portion mass off by {worst} g")
-
-    raise UnsupportedDirection(f"no verifier for {primitive}")
+    delta, detail = spec.verifier(sim, ks, values)
+    if delta == 0:
+        return VerificationReport("consistent", delta)
+    return VerificationReport("inconsistent", delta, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,14 @@ from typing import Optional
 from .errors import InputError, UnderstandingFailure
 from .features import Num, Var
 from .grammar import Grammar, extract_fragment, split_sentences
-from .kitchen import PRIMITIVES, KitchenSimulator, KitchenState
+from .kitchen import PRIMITIVES, KitchenSimulator, KitchenState, serials_in
 from .memory import Ontology, PersonalDynamicMemory, advance_plot, parse_number_text
 from .narrative import (
     SOURCE_LANGUAGE, SOURCE_SIMULATION, IntegrativeNarrativeNetwork,
 )
 from .plans import (
-    Executor, PlanCall, PlanNetwork, classify_slots,
-    complete_plan, normalize_fragment, question_id, serials_in,
+    Executor, PlanCall, PlanNetwork, classify_slots, complete_plan,
+    normalize_fragment, question_id,
 )
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,6 @@ class CookingSession:
             self.inn.record_answer(question_id(ans.call_id, ans.role),
                                    ans.source, ans.value, index)
 
-        if any(c.primitive == "preheat-oven" for c in calls):
-            self.executor.preheat_required = True
         exec_answers = self.executor.run(calls)
         for ans in exec_answers:
             self.inn.record_answer(question_id(ans.call_id, ans.role),

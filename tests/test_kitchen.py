@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from souschef import (
-    PRIMITIVES, InputError, KitchenSimulator, SimulationError, content_hash,
-    initial_kitchen,
+    PRIMITIVES, InputError, KitchenSimulator, SimulationError,
+    StructuralError, content_hash, initial_kitchen,
 )
+import souschef.kitchen as kitchen_module
 from souschef.features import Num, Struct, Sym
 
 
@@ -321,6 +322,26 @@ def test_every_primitive_spec_is_whole():
         assert spec.plot is None or spec.plot in spec.roles, name
         # fixed minutes, or read from the duration slot, never both
         assert (spec.minutes is None) == ("duration" in spec.roles), name
+        inputs = set(spec.roles) - spec.outputs
+        for role, default in spec.defaults.items():
+            assert role in inputs, name
+            assert default.of is None or default.of in spec.roles, name
+        if spec.direction is not None:
+            assert spec.direction <= set(spec.roles), name
+            assert getattr(KitchenSimulator,
+                           spec.verifier.__name__) is spec.verifier, name
+
+
+def test_spec_needs_both_direction_and_verifier():
+    slots = [("input-ks", "kitchen-state"), ("item", "entity-set"),
+             ("output-ks", "kitchen-state")]
+    with pytest.raises(StructuralError, match="direction and a verifier"):
+        kitchen_module._spec("probe", KitchenSimulator._melt, 1, slots,
+                             {"output-ks"}, direction={"item"})
+    with pytest.raises(StructuralError, match="direction and a verifier"):
+        kitchen_module._spec(
+            "probe", KitchenSimulator._melt, 1, slots, {"output-ks"},
+            verifier=KitchenSimulator._verify_portion_and_arrange)
 
 
 def test_durations_come_from_spec_or_slots(sim):

@@ -1,18 +1,24 @@
 """Plan networks: structure checks, data-flow execution, chunking."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from souschef import (
-    InputError, PRIMITIVES, PlanCall, PlanNetwork, StructuralError,
-    UnsupportedDirection, chunk, content_hash, execute_plan,
+    InputError, Ontology, PRIMITIVES, PlanCall, PlanFragment, PlanNetwork,
+    StructuralError, UnsupportedDirection, chunk, content_hash, execute_plan,
     expand_composites, find_recurrent_pairs, load_plan, plan_from_json,
     plan_to_json, verify_direction,
 )
 from souschef.features import Num, Struct, Sym, Var
-from souschef.plans import inline
+from souschef.kitchen import Default
+from souschef.memory import initial_plot_node
+from souschef.narrative import SOURCE_ONTOLOGY
+from souschef.plans import (
+    classify_slots, complete_plan, inline, normalize_fragment,
+)
 from conftest import DATA, fresh_kitchen
 
 
@@ -40,7 +46,7 @@ def test_primitive_registry_contents():
     assert len(names) == 18
     spec = PRIMITIVES.get("bake")
     assert spec.outputs == {"output-ks", "baked"}
-    assert "oven" in spec.optional
+    assert spec.defaults["oven"] == Default("default-device")
     with pytest.raises(InputError):
         PRIMITIVES.get("sous-vide")
 
@@ -168,6 +174,44 @@ def test_executor_seed_choice_is_reproducible(gold_almond, run_plan):
     assert content_hash(a.state) == content_hash(b.state)
     assert [r.call_id for r in a.trace.records] == \
         [r.call_id for r in b.trace.records]
+
+
+def _ontology(with_features: bool) -> Ontology:
+    """The bundled ontology, or the same concepts with no features."""
+    concepts = json.loads((DATA / "ontology.json").read_text())["concepts"]
+    if not with_features:
+        concepts = {name: {k: v for k, v in entry.items() if k != "features"}
+                    for name, entry in concepts.items()}
+    return Ontology(concepts)
+
+
+@pytest.mark.parametrize("with_features, expected", [
+    (True, {("c0", "target-container"): "medium-bowl",
+            ("c1", "tool"): "mixer", ("c1", "end-state"): "mixed"}),
+    (False, {}),
+])
+def test_default_questions_and_fills_agree(with_features, expected):
+    # an absent input slot raises a question iff completion fills it from
+    # the ontology
+    ontology = _ontology(with_features)
+    fragment = PlanFragment(calls=[
+        call("", "fetch-and-proportion", concept=Sym("butter"),
+             quantity=Num(Fraction(100)), unit=Sym("g"), resultant=Var("pat")),
+        call("", "beat", items=Var("pat")),
+    ])
+    normalize_fragment(fragment, itertools.count().__next__)
+    absent = {(c.call_id, role) for c in fragment.calls
+              for role in PRIMITIVES.get(c.primitive).roles
+              if c.slot(role) is None}
+    asked = {(st.call_id, st.role)
+             for st in classify_slots(fragment, ontology)} & absent
+    ks, _ = fresh_kitchen()
+    completion = complete_plan(fragment, initial_plot_node(ks.state_id), ks,
+                               ontology, {}, "ks0")
+    filled = {(a.call_id, a.role): a.value.name for a in completion.answers
+              if a.source == SOURCE_ONTOLOGY}
+    assert asked == set(expected)
+    assert filled == expected
 
 
 def test_verify_direction_needs_a_declared_direction():

@@ -18,7 +18,7 @@ from souschef.features import Num, Var, vars_of
 from souschef.narrative import (
     SOURCE_LANGUAGE, SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION,
 )
-from souschef.plans import question_id
+from souschef.plans import plan_to_json, question_id
 from conftest import ALMOND, VANILLA, fresh_kitchen
 
 
@@ -177,6 +177,36 @@ def test_rerun_with_shared_grammar_gives_identical_artifacts(
     for artifact in ("plan.json", "questions.json", "trace.jsonl"):
         assert (tmp_path / "first" / artifact).read_bytes() == \
             (tmp_path / "again" / artifact).read_bytes()
+
+
+def _renamed_canonically(plan: dict) -> dict:
+    """Plan JSON with variables renamed in order of first appearance."""
+    names: dict[str, str] = {}
+
+    def term(t):
+        if "var" in t:
+            return {"var": names.setdefault(t["var"], f"v{len(names)}")}
+        if "terms" in t:
+            return {"terms": [term(m) for m in t["terms"]]}
+        return t
+
+    return {"provenance": plan["provenance"],
+            "calls": [{"primitive": c["primitive"],
+                       "slots": {r: term(c["slots"][r])
+                                 for r in sorted(c["slots"])}}
+                      for c in plan["calls"]]}
+
+
+def test_gold_plans_regenerate(almond_result, vanilla_result, data_dir):
+    # tools/freeze_gold.py saves a fresh run of each bundled recipe; that
+    # run must still give the committed gold plan up to variable names
+    for name, result in ((ALMOND, almond_result), (VANILLA, vanilla_result)):
+        assert result.closed, name
+        committed = json.loads(
+            (data_dir / "gold" / f"{name}.plan.json").read_text())
+        rebuilt = json.loads(json.dumps(plan_to_json(result.network)))
+        assert _renamed_canonically(rebuilt) == \
+            _renamed_canonically(committed), name
 
 
 def test_bundled_analyses_are_unchanged(almond_result, vanilla_result):
