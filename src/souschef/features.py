@@ -28,10 +28,10 @@ Units, pattern units and transient structures are immutable, so work that
 depends on one ``Unit`` object is done once for it and kept on it, however
 many search states share it:
 
-* ``Unit.canonical`` holds this unit's part of ``content_key``: its
-  name-blind sort key, the variables and generated names it mentions in
-  walk order, and, when it mentions none, its finished rendering. It
-  depends on the unit alone and is always valid.
+* ``Unit.rendering`` is this unit's part of ``content_key``: its name and
+  its features sorted by name, value-set members sorted. It depends on the
+  unit alone. Fresh names come from the applications that make them (see
+  ``grammar.apply_construction``), so it needs no renumbering.
 * ``Unit.form_pool`` holds a root unit's form facts with their positions by
   ``(name, arity)`` and by ``(name, arity, position, literal)``; ``match``
   unifies pattern form facts against it. It depends on the unit alone.
@@ -45,7 +45,6 @@ many search states share it:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -424,22 +423,11 @@ class Unit:
         return Unit(self.name, tuple(feats))
 
     @cached_property
-    def canonical(self) -> tuple:
-        """(blind sort key, walk sequence, rendering or None) for
-        ``TransientStructure.content_key``."""
+    def rendering(self) -> str:
+        """This unit's part of ``TransientStructure.content_key``."""
         feats = sorted(self.features, key=lambda kv: kv[0])
-        generated = bool(_GEN_NAME.match(self.name))
-        blind = ("~" if generated else self.name,
-                 ";".join(f"{k}={_blind_repr(v)}" for k, v in feats))
-        walk: list[tuple[bool, str]] = []  # (is a variable, name)
-        if generated:
-            walk.append((False, self.name))
-        for _, v in feats:
-            _canonical_walk(v, walk)
-        text = None
-        if not walk:  # nothing to number: the rendering is final
-            text = _render_unit(self.name, feats, {}, {})
-        return blind, tuple(walk), text
+        body = ";".join(f"{k}={_render(v)}" for k, v in feats)
+        return f"{self.name}[{body}]"
 
     @cached_property
     def form_pool(self) -> tuple:
@@ -492,7 +480,6 @@ class TransientStructure:
     units: tuple = ()
     applied: tuple = ()  # names of constructions applied so far
     consumed: frozenset = frozenset()  # token ids matched by applied poles
-    counter: int = 0  # fresh-name source for new units
 
     def __post_init__(self):
         names = [u.name for u in self.units]
@@ -513,104 +500,32 @@ class TransientStructure:
 
     def replace_unit(self, new_unit: Unit) -> "TransientStructure":
         units = tuple(new_unit if u.name == new_unit.name else u for u in self.units)
-        return TransientStructure(units, self.applied, self.consumed, self.counter)
+        return TransientStructure(units, self.applied, self.consumed)
 
     def add_unit(self, new_unit: Unit) -> "TransientStructure":
-        return TransientStructure(
-            self.units + (new_unit,), self.applied, self.consumed, self.counter
-        )
+        return TransientStructure(self.units + (new_unit,), self.applied,
+                                  self.consumed)
 
-    def content_key(self) -> str:
-        """Deterministic digest of unit contents, names normalized.
+    def content_key(self) -> tuple:
+        """The sorted ``Unit.rendering`` of every unit, for duplicate-state
+        detection during search.
 
-        Used for duplicate-state detection during search. Fresh variables and
-        generated unit names (``unit-N``) are renumbered canonically: units
-        are first ordered by a name-blind rendering, then variables and
-        generated names are numbered along that order. Two structures that
-        differ only in the order constructions happened to allocate names in
-        therefore collide, which is exactly what the search wants. The
-        per-unit parts come from ``Unit.canonical``.
+        A fresh variable or unit is named after the application that makes
+        it, so two orders of the same applications build equal units and
+        their states collide, which is exactly what the search wants.
         """
-        blind_order = sorted(self.units, key=lambda u: u.canonical[0])
-        var_order: dict[str, int] = {}
-        gen_order: dict[str, int] = {}
-        for u in blind_order:
-            for is_var, name in u.canonical[1]:
-                order = var_order if is_var else gen_order
-                order.setdefault(name, len(order))
-        parts = []
-        for u in blind_order:
-            text = u.canonical[2]
-            if text is None:
-                text = _render_unit(u.name,
-                                    sorted(u.features, key=lambda kv: kv[0]),
-                                    var_order, gen_order)
-            parts.append(text)
-        return "|".join(sorted(parts))
+        return tuple(sorted(u.rendering for u in self.units))
 
 
-_GEN_NAME = re.compile(r"^unit-\d+$")
-
-
-def _canonical_walk(fv, out: list) -> None:
-    """(is a variable, name) of fv's variables and generated names, in the
-    order ``content_key`` numbers them."""
-    if isinstance(fv, Var):
-        out.append((True, fv.name))
-    elif isinstance(fv, Sym):
-        if _GEN_NAME.match(fv.name):
-            out.append((False, fv.name))
-    elif isinstance(fv, ValueSet):
-        for m in sorted(fv, key=_blind_repr):
-            _canonical_walk(m, out)
-    elif isinstance(fv, Struct):
-        for _, v in fv.fields:
-            _canonical_walk(v, out)
-    elif isinstance(fv, Compound):
-        for a in fv.args:
-            _canonical_walk(a, out)
-        for _, v in fv.kwargs:
-            _canonical_walk(v, out)
-
-
-def _render_unit(name: str, sorted_features, var_order: dict,
-                 gen_order: dict) -> str:
-    """One unit of ``content_key``: variables and generated names numbered."""
-
-    def render(fv) -> str:
-        if isinstance(fv, Var):
-            return f"?v{var_order[fv.name]}"
-        if isinstance(fv, Sym) and fv.name in gen_order:
-            return f"g{gen_order[fv.name]}"
-        if isinstance(fv, ValueSet):
-            return "{" + ",".join(sorted(render(m) for m in fv)) + "}"
-        if isinstance(fv, Struct):
-            return "(" + " ".join(f"{k}={render(v)}" for k, v in fv.fields) + ")"
-        if isinstance(fv, Compound):
-            bits = [fv.name] + [render(a) for a in fv.args]
-            bits += [f":{k}={render(v)}" for k, v in fv.kwargs]
-            return "(" + " ".join(bits) + ")"
-        return repr(fv)
-
-    if name in gen_order:
-        name = f"g{gen_order[name]}"
-    feats = ";".join(f"{k}={render(v)}" for k, v in sorted_features)
-    return f"{name}[{feats}]"
-
-
-def _blind_repr(fv) -> str:
-    """repr with variables and generated names blinded (pre-pass sort key)."""
-    if isinstance(fv, Var):
-        return "?"
-    if isinstance(fv, Sym) and _GEN_NAME.match(fv.name):
-        return "~"
+def _render(fv) -> str:
+    """repr of fv with value-set members sorted: equal values render alike."""
     if isinstance(fv, ValueSet):
-        return "{" + ",".join(sorted(_blind_repr(m) for m in fv)) + "}"
+        return "{" + ",".join(sorted(map(_render, fv))) + "}"
     if isinstance(fv, Struct):
-        return "(" + " ".join(f"{k}={_blind_repr(v)}" for k, v in fv.fields) + ")"
+        return "(" + " ".join(f"{k}={_render(v)}" for k, v in fv.fields) + ")"
     if isinstance(fv, Compound):
-        bits = [fv.name] + [_blind_repr(a) for a in fv.args]
-        bits += [f":{k}={_blind_repr(v)}" for k, v in fv.kwargs]
+        bits = [fv.name] + [_render(a) for a in fv.args]
+        bits += [f":{k}={_render(v)}" for k, v in fv.kwargs]
         return "(" + " ".join(bits) + ")"
     return repr(fv)
 
@@ -978,15 +893,15 @@ def merge(contribution: Iterable[PatternUnit], target: TransientStructure,
 
     Value sets union; equal scalars are idempotent; conflicting scalars raise
     MergeFailure with the feature path. The input structure is never touched.
-    Unbound unit-name variables allocate fresh units and extend the bindings.
+    A unit-name variable ``?v`` left unbound names a new unit ``unit-v`` and
+    is bound to it.
     """
     ts = target
     env = bindings
     for pu in contribution:
         name = env.walk(pu.name) if isinstance(pu.name, Var) else pu.name
         if isinstance(name, Var):
-            fresh = f"unit-{ts.counter}"
-            ts = TransientStructure(ts.units, ts.applied, ts.consumed, ts.counter + 1)
+            fresh = f"unit-{name.name}"
             nb = env.bind(name.name, Sym(fresh))
             if nb is None:
                 raise MergeFailure(str(name), name, Sym(fresh))
@@ -1033,19 +948,6 @@ def _scalars_equal(a, b) -> bool:
 
 def fact(name: str, *args, **kwargs) -> Compound:
     return Compound(name, tuple(args), tuple(kwargs.items()))
-
-
-def fresh_mapping(names: Iterable[str], numbers: Iterable[int]) -> dict:
-    """name -> Var("name~N"), pairing names with numbers in order."""
-    return {n: Var(f"{n}~{k}") for n, k in zip(names, numbers)}
-
-
-def rename_units(units: Iterable[PatternUnit],
-                 mapping: dict) -> list[PatternUnit]:
-    return [PatternUnit(rename_vars(pu.name, mapping),
-                        tuple((k, rename_vars(v, mapping))
-                              for k, v in pu.features))
-            for pu in units]
 
 
 def rename_vars(fv: FeatureValue, mapping: dict) -> FeatureValue:

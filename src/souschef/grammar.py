@@ -41,7 +41,6 @@ GrammarSyntaxError.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,8 +55,8 @@ from .errors import (
 from .features import (
     FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Compound, MatchResult, Num,
     PatternUnit, ProcRegistry, Struct, Sym, Text, TransientStructure, Unit,
-    ValueSet, Var, fact, facts_of, form_only, fresh_mapping, match, merge,
-    rename_units, rename_vars, variables_in_order, vars_of,
+    ValueSet, Var, fact, facts_of, form_only, match, merge, variables_in_order,
+    vars_of,
 )
 from .kitchen import PRIMITIVES
 from .memory import make_registry
@@ -146,8 +145,7 @@ class Construction:
 
     @cached_property
     def variables(self) -> tuple:
-        """Variable names of both poles in first-occurrence order, the
-        order each application numbers them in."""
+        """Variable names of both poles in first-occurrence order."""
         return variables_in_order(self.conditional + self.contributing)
 
     @cached_property
@@ -495,25 +493,21 @@ class ComprehensionResult:
 
 
 def apply_construction(cxn: Construction, ts: TransientStructure,
-                       procs: ProcRegistry, counter) -> list:
+                       procs: ProcRegistry) -> list:
     """Every transient structure one application of cxn can produce.
 
     Matching runs on the grammar's own conditional pole, on its own
     variables; grammar variables contain no ``~`` and every variable of a
-    state does, so the two never meet. Fresh numbering is the same as if
-    both poles were renamed for every attempt: each attempt takes
-    ``len(cxn.variables)`` numbers from counter, and an application not
-    made before renames the contributing pole and the bindings with them
-    (``?x`` becomes ``?x~N``) before the merge.
+    state does, so the two never meet. Each application names its fresh
+    variables after its own ``applied`` entry (see ``_apply_match``), and
+    ``merge`` names each new unit after its variable, so a state's names
+    depend on which applications built it and not on their order.
     """
-    numbers = tuple(itertools.islice(counter, len(cxn.variables)))
-    renamed = None
     out = []
     for mr in match(cxn.conditional, ts, procs=procs):
         if _instance_name(cxn, mr) in ts.applied:
             continue  # this exact application already happened
-        renamed = renamed or _renamed_contribution(cxn, numbers)
-        child = _apply_match(cxn, mr, ts, procs, renamed)
+        child = _apply_match(cxn, mr, ts, procs)
         if child is not None:
             out.append(child)
     return out
@@ -528,31 +522,26 @@ def _instance_name(cxn: Construction, mr: MatchResult) -> str:
     return f"{cxn.name}@{anchor}|{targets}"
 
 
-def _renamed_contribution(cxn: Construction, numbers: tuple) -> tuple:
-    """(fresh mapping, contributing pole) of an application that took
-    numbers from the counter: ``?x`` becomes ``?x~N``."""
-    mapping = fresh_mapping(cxn.variables, numbers)
-    return mapping, rename_units(cxn.contributing, mapping)
-
-
 def _apply_match(cxn: Construction, mr: MatchResult, ts: TransientStructure,
-                procs: ProcRegistry, renamed: tuple) -> Optional[TransientStructure]:
-    """The state one match of cxn makes of ts, or None when the merge fails;
-    renamed comes from ``_renamed_contribution``."""
-    mapping, contrib = renamed
-    bindings = Bindings({
-        mapping[k].name if k in mapping else k: rename_vars(v, mapping)
-        for k, v in mr.bindings.items()})
+                 procs: ProcRegistry) -> Optional[TransientStructure]:
+    """The state one match of cxn makes of ts, or None when the merge fails.
+
+    Each variable the match leaves unbound stands for a fresh one named
+    after this application's ``applied`` entry: ``?x`` becomes
+    ``?x~<entry>``. A path holds an entry at most once, so the names are
+    fresh in every state it reaches. They grow with nesting, since an
+    entry names the units its application read.
+    """
+    entry = _instance_name(cxn, mr)
+    bindings = Bindings(dict(mr.bindings.items()) | {
+        v: Var(f"{v}~{entry}") for v in cxn.variables
+        if mr.bindings.lookup(v) is None})
     try:
-        outcome = merge(contrib, ts, bindings, procs)
+        outcome = merge(cxn.contributing, ts, bindings, procs)
     except MergeFailure:
         return None
-    return TransientStructure(
-        outcome.structure.units,
-        ts.applied + (_instance_name(cxn, mr),),
-        ts.consumed | mr.touched_tokens,
-        outcome.structure.counter,
-    )
+    return TransientStructure(outcome.structure.units, ts.applied + (entry,),
+                              ts.consumed | mr.touched_tokens)
 
 
 #: Form facts whose last argument may be a text literal worth indexing.
@@ -649,33 +638,34 @@ class Grammar:
         rank's keys only the order of ``applied_names`` can differ. A
         form-only construction none of whose matches stayed out of the
         layer leaves the search, since each match is already in ``applied``.
-        Fresh variables are numbered per call, so the result does not depend
-        on earlier calls. The search stops once it holds max_states states;
-        the result is then ``truncated`` when a state was left unexpanded.
+
+        Fresh names come from the applications that make them
+        (``apply_construction``), so the result does not depend on earlier
+        calls, and every order of the same applications reaches one state,
+        which keeps the first path found to it. A rank tie on every other
+        key falls to ``content_key``. The search stops once it holds
+        max_states states; the result is then ``truncated`` when a state
+        was left unexpanded.
         """
         tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
         content = {t.token_id for t in tokens
                    if t.word not in self.function_words}
-        counter = itertools.count(1)
-        ts0 = self._lemmatize(initialize_transient(tokens, accessible), counter)
+        ts0 = self._lemmatize(initialize_transient(tokens, accessible))
         candidates = [c for c in self.candidates(ts0)
                       if c.kind != "lemmatization"]
-        ts0, candidates = self._apply_uncontested(ts0, candidates, counter)
+        ts0, candidates = self._apply_uncontested(ts0, candidates)
 
-        states: dict[str, TransientStructure] = {}
-        expanded: set[str] = set()
-        terminal: list[str] = []
+        states: dict[tuple, TransientStructure] = {}
+        terminal: list[tuple] = []
         k0 = ts0.content_key()
         states[k0] = ts0
         work = [k0]
         while work and len(states) < max_states:
             key = work.pop()
             ts = states[key]
-            if key in expanded:
-                continue
             leaf = True
             for cxn in candidates:
-                for child in apply_construction(cxn, ts, self.procs, counter):
+                for child in apply_construction(cxn, ts, self.procs):
                     ck = child.content_key()
                     if ck == key:
                         continue
@@ -683,14 +673,8 @@ class Grammar:
                     if ck not in states:
                         states[ck] = child
                         work.append(ck)
-                    elif _better_path(child, states[ck]):
-                        states[ck] = child
-                        expanded.discard(ck)
-                        work.append(ck)
-            expanded.add(key)
             if leaf:
                 terminal.append(key)
-        truncated = any(k not in expanded for k in work)
 
         if not terminal:  # state cap hit on a pathological grammar
             terminal = list(states)
@@ -707,29 +691,28 @@ class Grammar:
             score=_path_score(self, best),
             unresolved_tokens=unresolved,
             succeeded=bool(goals),
-            truncated=truncated,
+            truncated=bool(work),
         )
 
-    def _lemmatize(self, ts: TransientStructure, counter) -> TransientStructure:
+    def _lemmatize(self, ts: TransientStructure) -> TransientStructure:
         """ts with the lemmatizations applied to a fixpoint: each round takes
         the first application, in grammar order, that adds a form fact."""
         while True:
             grown = next((child for cxn in self.candidates(ts)
                           if cxn.kind == "lemmatization"
-                          for child in apply_construction(cxn, ts, self.procs,
-                                                          counter)
+                          for child in apply_construction(cxn, ts, self.procs)
                           if child.root != ts.root), None)
             if grown is None:
                 return ts
             ts = grown
 
-    def _apply_uncontested(self, ts: TransientStructure, candidates: list,
-                           counter) -> tuple:
+    def _apply_uncontested(self, ts: TransientStructure,
+                           candidates: list) -> tuple:
         """(ts with every uncontested form-only application made, the
         candidates the search still needs); see ``comprehend``."""
         if not all(c.confined for c in candidates):
             return ts, candidates
-        trials = []  # (cxn, match, its tokens, fresh numbers)
+        trials = []  # (cxn, match, its tokens)
         claims: Counter = Counter()  # token -> form-only matches and units
         for cxn in candidates:
             if not cxn.form_only:  # (ii): the tokens its units can name
@@ -741,17 +724,15 @@ class Grammar:
                 tokens = {Sym(t) for t in mr.touched_tokens} \
                     | {mr.bindings.walk(pu.name) for pu in cxn.conditional}
                 claims.update(tokens)
-                numbers = tuple(itertools.islice(counter, len(cxn.variables)))
-                trials.append((cxn, mr, tokens, numbers))
+                trials.append((cxn, mr, tokens))
         key = ts.content_key()
         # form-only constructions leave the search unless one of their
         # matches stays out of the layer
         settled = {cxn.name for cxn in candidates if cxn.form_only}
-        for cxn, mr, tokens, numbers in trials:
+        for cxn, mr, tokens in trials:
             child = None  # (i) and (ii): no other claim; (iii) below
             if all(claims[t] == 1 for t in tokens):
-                child = _apply_match(cxn, mr, ts, self.procs,
-                                    _renamed_contribution(cxn, numbers))
+                child = _apply_match(cxn, mr, ts, self.procs)
             child_key = child.content_key() if child is not None else key
             if child_key != key:
                 ts, key = child, child_key
@@ -765,13 +746,6 @@ class Grammar:
         dangling = _count_dangling(ts)
         return (missing, -score, dangling, len(ts.applied),
                 applied_names(ts), ts.content_key())
-
-
-def _better_path(a: TransientStructure, b: TransientStructure) -> bool:
-    """Prefer more consumed tokens, then fewer applications."""
-    if a.consumed != b.consumed:
-        return len(a.consumed) > len(b.consumed)
-    return len(a.applied) < len(b.applied)
 
 
 def _path_score(grammar: Grammar, ts: TransientStructure) -> Fraction:

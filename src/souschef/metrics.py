@@ -125,20 +125,6 @@ class _AlignScorer:
             if n2 != n1:
                 self.adj[n2].append(idx)
 
-    def full(self, mapping: dict) -> int:
-        m = 0
-        for node, triples in self.own.items():
-            target = mapping.get(node)
-            for t in triples:
-                if t[0] == "i":
-                    m += (target, t[1]) in self.b_inst
-                else:
-                    m += (target, t[1], t[2]) in self.b_attr
-        for n1, role, n2 in self.a.relations:
-            if (mapping.get(n1), role, mapping.get(n2)) in self.b_rel:
-                m += 1
-        return m
-
     def contrib(self, nodes: tuple, mapping: dict) -> int:
         """Matched triples touching any of the given nodes."""
         m = 0
@@ -227,7 +213,7 @@ def _hill_climb(scorer: _AlignScorer, mapping: dict) -> int:
             if scorer.contrib((ni, nj), trial) - base > 0:
                 mapping.update(trial)
                 improved = True
-    return scorer.full(mapping)
+    return scorer.contrib(a.nodes, mapping)
 
 
 def smatch_score(a: TripleSet, b: TripleSet, restarts: int = 16,
@@ -261,7 +247,7 @@ def smatch_exact(a: TripleSet, b: TripleSet, max_vars: int = 8) -> OverlapScore:
     scorer = _AlignScorer(x, y)
     best = 0
     for perm in itertools.permutations(y.nodes, len(x.nodes)):
-        best = max(best, scorer.full(dict(zip(x.nodes, perm))))
+        best = max(best, scorer.contrib(x.nodes, dict(zip(x.nodes, perm))))
     return _score(a, b, best)
 
 

@@ -179,10 +179,12 @@ def normalize_fragment(fragment: PlanFragment, next_index) -> None:
     """Assign call ids, rename grammar variables and materialize output/ks
     variables, all in place.
 
-    Grammar variables are numbered afresh by every comprehension, so two
-    fragments may share names. Each is renamed to ``<stem>~<i>-<n>``: i is
-    the index of the fragment's first call, n numbers the variables in order
-    of first appearance over the call slots, then discourse, then locate.
+    A comprehension names each fresh variable after the application that
+    made it (``?x~<applied entry>``), and an entry names tokens by their
+    position in the sentence, so two fragments may share names. Each is
+    renamed to ``<stem>~<i>-<n>``: i is the index of the fragment's first
+    call, n numbers the variables in order of first appearance over the
+    call slots, then discourse, then locate.
     Names thus stay unique within a session and depend on nothing else.
     """
     indices = [next_index() for _ in fragment.calls]

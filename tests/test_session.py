@@ -262,18 +262,26 @@ CONJUNCTS = [(1, False), (1, True), (2, False), (2, True), (3, False),
              (3, True), (4, False)]
 
 
-@pytest.mark.parametrize("k, repeat", CONJUNCTS)
-def test_add_lists_every_conjunct_as_transfer_source(
-        grammar, ontology, workloads, monkeypatch, k, repeat):
-    # "Add the A and B ..." in a primed discourse: a nested group must not
-    # leave its own variable in the source slot
-    names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract")
+def _primed(grammar, ontology, workloads, names, k, repeat) -> tuple:
+    """(session that has understood the probe discourse of names, its line
+    count, the k-conjunct "Add" sentence, the conjuncts' names)."""
     lines, ((_, _, sentence, added),) = workloads.probe_round(
         random.Random(k), names, ((k, repeat),))
     ks, config = fresh_kitchen()
     session = CookingSession(grammar, ontology, ks, config)
     for i, line in enumerate(lines):
         session.run_step(i, line)
+    return session, len(lines), sentence, added
+
+
+@pytest.mark.parametrize("k, repeat", CONJUNCTS)
+def test_add_lists_every_conjunct_as_transfer_source(
+        grammar, ontology, workloads, monkeypatch, k, repeat):
+    # "Add the A and B ..." in a primed discourse: a nested group must not
+    # leave its own variable in the source slot
+    names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract")
+    session, n, sentence, added = _primed(grammar, ontology, workloads,
+                                          names, k, repeat)
     results = []
     comprehend = grammar.comprehend
 
@@ -282,7 +290,7 @@ def test_add_lists_every_conjunct_as_transfer_source(
         return results[-1]
 
     monkeypatch.setattr(grammar, "comprehend", recording)
-    report = session.run_step(len(lines), sentence)
+    report = session.run_step(n, sentence)
     assert not report.unresolved_tokens
     concepts = workloads.transfer_concepts(plans_module, session, report)
     assert sorted(concepts) == sorted(added), sentence
@@ -294,3 +302,26 @@ def test_add_lists_every_conjunct_as_transfer_source(
                 for v in vars_of(t)}
     assert set(fragment.discourse) <= in_slots
     assert grammar_module._count_dangling(result.structure) == 0
+
+
+@pytest.mark.parametrize("repeat, budget", [(False, 192), (True, 354)])
+def test_three_conjuncts_stay_within_search_budget(
+        grammar, ontology, workloads, monkeypatch, repeat, budget):
+    # "Add the A and B and C" / "Add the A and the B and the C" in the
+    # bench's primed discourse: each budget is the apply_construction count
+    # measured when it was set, and may only tighten
+    names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract",
+             "almond-extract")
+    session, n, sentence, _ = _primed(grammar, ontology, workloads,
+                                      names, 3, repeat)
+    calls = []
+    apply = grammar_module.apply_construction
+
+    def counted(*args):
+        calls.append(args[0].name)
+        return apply(*args)
+
+    monkeypatch.setattr(grammar_module, "apply_construction", counted)
+    report = session.run_step(n, sentence)
+    assert not report.unresolved_tokens
+    assert len(calls) <= budget
