@@ -178,7 +178,7 @@ def cmd_evaluate(args) -> int:
     sim = KitchenSimulator(ontology, config)
     reference = execute_plan(gold, ks, sim, seed=args.seed)
 
-    smatch = smatch_plans(result.network, gold, seed=args.seed)
+    smatch = smatch_plans(result.network, gold)
     gcs = goal_condition_success(result.state, goals, ontology)
     das = dish_approximation_score(result.state, reference.state, ontology)
     report = build_report(smatch=smatch, gcs=gcs, das=das,
@@ -241,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="score a recipe run against gold data")
     common(p_evaluate, recipe_required=True)
     p_evaluate.add_argument("--seed", type=int, default=0,
-                            help="seed for the gold run's call order and "
-                                 "the smatch restarts")
+                            help="seed for the order of the gold run's calls")
     p_evaluate.add_argument("--gold-plan", help="reference plan.json")
     p_evaluate.add_argument("--goals", help="goal conditions JSON")
     p_evaluate.set_defaults(func=cmd_evaluate)

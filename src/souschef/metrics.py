@@ -1,10 +1,10 @@
 """Evaluation metrics: plan-graph overlap, goals, dish similarity, time.
 
 * smatch-style overlap: a plan network projects to triples (one instance
-  triple per call, one attribute triple per constant slot, one relation
-  triple per shared variable); score is the best triple F1 over call
-  alignments, found by seeded hill-climbing with restarts, or exactly for
-  small graphs.
+  triple per call, one attribute triple per constant slot or slot with
+  unproduced variables, one relation triple per shared variable); score is
+  the best triple F1 over one-to-one call alignments, found by branch and
+  bound within a node budget, or exhaustively for small graphs.
 * goal-condition success: fraction of declared goal predicates the final
   kitchen state satisfies.
 * dish approximation: harmonic mean of ingredient overlap (within a 10%
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -76,8 +75,9 @@ def plan_triples(network: PlanNetwork) -> TripleSet:
             for v in vars_in:
                 if v in producers:
                     relations.append((c.call_id, role, producers[v][0].call_id))
-                else:
-                    attributes.append((c.call_id, role, f"?{v}"))
+            if any(v not in producers for v in vars_in):
+                # free variables: their names carry no meaning
+                attributes.append((c.call_id, role, "?"))
             if isinstance(term, ValueSet):
                 consts = [m for m in term if not isinstance(m, (Var, ValueSet))]
                 for m in consts:
@@ -89,6 +89,10 @@ def plan_triples(network: PlanNetwork) -> TripleSet:
 # ---------------------------------------------------------------------------
 # Alignment scoring
 
+#: Search nodes (call-to-call assignments tried) after which smatch_score
+#: stops and returns the best alignment found so far, marked not exact.
+ALIGN_BUDGET = 20_000
+
 
 @dataclass(frozen=True)
 class OverlapScore:
@@ -96,6 +100,7 @@ class OverlapScore:
     precision: Fraction
     recall: Fraction
     f1: Fraction
+    exact: bool                  # the alignment is proven optimal
 
     def to_json(self) -> dict:
         return {
@@ -103,137 +108,120 @@ class OverlapScore:
             "precision": float(self.precision),
             "recall": float(self.recall),
             "f1": float(self.f1),
+            "exact": self.exact,
         }
 
 
-class _AlignScorer:
-    """Matched-triple counting with node-local deltas for hill-climbing."""
-
-    def __init__(self, a: TripleSet, b: TripleSet):
-        self.a, self.b = a, b
-        self.b_inst = set(b.instances)
-        self.b_attr = set(b.attributes)
-        self.b_rel = set(b.relations)
-        self.own: dict[str, list] = {n: [] for n in a.nodes}
-        for node, prim in a.instances:
-            self.own[node].append(("i", prim))
-        for node, role, value in a.attributes:
-            self.own[node].append(("a", role, value))
-        self.adj: dict[str, list] = {n: [] for n in a.nodes}
-        for idx, (n1, _, n2) in enumerate(a.relations):
-            self.adj[n1].append(idx)
-            if n2 != n1:
-                self.adj[n2].append(idx)
-
-    def contrib(self, nodes: tuple, mapping: dict) -> int:
-        """Matched triples touching any of the given nodes."""
-        m = 0
-        rel_idx = set()
-        for node in nodes:
-            target = mapping.get(node)
-            for t in self.own[node]:
-                if t[0] == "i":
-                    m += (target, t[1]) in self.b_inst
-                else:
-                    m += (target, t[1], t[2]) in self.b_attr
-            rel_idx.update(self.adj[node])
-        for idx in rel_idx:
-            n1, role, n2 = self.a.relations[idx]
-            if (mapping.get(n1), role, mapping.get(n2)) in self.b_rel:
-                m += 1
-        return m
-
-
-def _score(a: TripleSet, b: TripleSet, matched: int) -> OverlapScore:
+def _score(a: TripleSet, b: TripleSet, matched: int,
+           exact: bool) -> OverlapScore:
     ta, tb = len(a), len(b)
     p = Fraction(matched, ta) if ta else Fraction(0)
     r = Fraction(matched, tb) if tb else Fraction(0)
     f1 = (2 * p * r / (p + r)) if (p + r) else Fraction(0)
-    return OverlapScore(matched, p, r, f1)
+    return OverlapScore(matched, p, r, f1, exact)
 
 
-def _smart_mapping(a: TripleSet, b: TripleSet) -> dict:
-    """Map same-primitive calls in plan order (good hill-climb start)."""
-    prim_a = dict(a.instances)
-    by_prim: dict[str, list] = {}
-    for node, prim in b.instances:
-        by_prim.setdefault(prim, []).append(node)
-    mapping = {}
-    for node in a.nodes:
-        pool = by_prim.get(prim_a[node])
-        if pool:
-            mapping[node] = pool.pop(0)
-    return mapping
+def _matched(a: TripleSet, b: TripleSet, mapping: dict) -> int:
+    """Triples of a that the call mapping carries onto triples of b."""
+    inst, attr, rel = set(b.instances), set(b.attributes), set(b.relations)
+    to = mapping.get
+    return (sum((to(n), prim) in inst for n, prim in a.instances)
+            + sum((to(n), role, value) in attr
+                  for n, role, value in a.attributes)
+            + sum((to(n1), role, to(n2)) in rel
+                  for n1, role, n2 in a.relations))
 
 
-def _random_mapping(a: TripleSet, b: TripleSet, rng: random.Random) -> dict:
-    targets = list(b.nodes)
-    rng.shuffle(targets)
-    return dict(zip(a.nodes, targets))
-
-
-def _hill_climb(scorer: _AlignScorer, mapping: dict) -> int:
-    """Greedy improvement by single remaps and swaps until a fixpoint."""
-    a, b = scorer.a, scorer.b
-    improved = True
-    while improved:
-        improved = False
-        used = set(mapping.values())
-        for node in a.nodes:
-            current = mapping.get(node)
-            base = scorer.contrib((node,), mapping)
-            best_delta, best_target = 0, current
-            for target in b.nodes:
-                if target == current or target in used:
-                    continue
-                trial = dict(mapping)
-                trial[node] = target
-                delta = scorer.contrib((node,), trial) - base
-                if delta > best_delta:
-                    best_delta, best_target = delta, target
-            if current is not None:
-                trial = dict(mapping)
-                del trial[node]
-                delta = scorer.contrib((node,), trial) - base
-                if delta > best_delta:
-                    best_delta, best_target = delta, None
-            if best_delta > 0:
-                if best_target is None:
-                    del mapping[node]
-                else:
-                    mapping[node] = best_target
-                used = set(mapping.values())
-                improved = True
-        keys = [n for n in a.nodes if n in mapping]
-        for i, j in itertools.combinations(range(len(keys)), 2):
-            ni, nj = keys[i], keys[j]
-            base = scorer.contrib((ni, nj), mapping)
-            trial = dict(mapping)
-            trial[ni], trial[nj] = trial[nj], trial[ni]
-            if scorer.contrib((ni, nj), trial) - base > 0:
-                mapping.update(trial)
-                improved = True
-    return scorer.contrib(a.nodes, mapping)
+def _placement_order(x: TripleSet, x_attrs: dict) -> list:
+    """(call, relations) pairs: each next call has the most relations into
+    the calls placed before it; ties go to more attribute triples, then to
+    plan order. A call's relations are those it closes, as (role, other
+    call, whether the call is the consumer)."""
+    links: dict[str, list] = {n: [] for n in x.nodes}
+    for n1, role, n2 in x.relations:
+        links[n1].append((role, n2, True))
+        if n2 != n1:
+            links[n2].append((role, n1, False))
+    order, placed, rest = [], set(), list(x.nodes)
+    while rest:
+        call = max(rest, key=lambda n: (
+            sum(w in placed for _, w, _ in links[n]), len(x_attrs[n])))
+        rest.remove(call)
+        placed.add(call)
+        order.append((call, [r for r in links[call] if r[1] in placed]))
+    return order
 
 
 def smatch_score(a: TripleSet, b: TripleSet, restarts: int = 16,
                  seed: int = 0) -> OverlapScore:
-    """Best triple overlap found by hill-climbing with seeded restarts.
+    """Best triple overlap over one-to-one call alignments.
 
-    The first restart starts from the plan-order same-primitive mapping, the
-    rest from seeded random alignments. Deterministic for fixed inputs.
+    Branch and bound over the calls of the smaller graph, placed in
+    `_placement_order`; each tries every unused call of the other graph,
+    best first. A relation counts when its later endpoint is placed. The
+    bound gives each unplaced call its best target's own triples plus the
+    relations that target could carry (it has one of that role in that
+    direction). The result is proven optimal (`exact`) unless the search
+    reaches ALIGN_BUDGET nodes; then it is the best alignment found.
+    Deterministic. `restarts` and `seed` have no effect; they stay for
+    callers that still pass them.
     """
-    if not a.nodes or not b.nodes:
-        return _score(a, b, 0)
-    scorer = _AlignScorer(a, b)
-    best = 0
-    for restart in range(max(1, restarts)):
-        if restart == 0:
-            mapping = _smart_mapping(a, b)
-        else:
-            mapping = _random_mapping(a, b, random.Random(seed + restart))
-        best = max(best, _hill_climb(scorer, mapping))
-    return _score(a, b, best)
+    x, y = (a, b) if len(a.nodes) <= len(b.nodes) else (b, a)
+    y_prim = dict(y.instances)
+    y_attr, y_rel = set(y.attributes), set(y.relations)
+    y_roles = ({(n1, role, True) for n1, role, _ in y.relations}
+               | {(n2, role, False) for _, role, n2 in y.relations})
+    x_prim = dict(x.instances)
+    x_attrs: dict[str, list] = {n: [] for n in x.nodes}
+    for n, role, value in x.attributes:
+        x_attrs[n].append((role, value))
+
+    steps = []                   # (call, relations, own triples per target)
+    bounds = []
+    for call, rels in _placement_order(x, x_attrs):
+        own = {v: (x_prim[call] == y_prim[v])
+               + sum((v, role, value) in y_attr
+                     for role, value in x_attrs[call])
+               for v in y.nodes}
+        steps.append((call, rels, own))
+        bounds.append(max(own[v] + sum((v, role, consumer) in y_roles
+                                       for role, _, consumer in rels)
+                          for v in y.nodes))
+    rest = [sum(bounds[d:]) for d in range(len(bounds) + 1)]
+
+    mapping: dict[str, str] = {}
+    best, spent = 0, 0
+
+    def search(depth: int, score: int) -> None:
+        nonlocal best, spent
+        if depth == len(steps):
+            best = score         # pruning admits only improvements
+            return
+        call, rels, own = steps[depth]
+        options = []
+        used = set(mapping.values())
+        for v in y.nodes:
+            if v in used:
+                continue
+            # mapping lacks `call` itself, so a self-relation maps to v
+            gain = own[v] + sum(
+                ((v, role, mapping.get(w, v)) if consumer
+                 else (mapping.get(w, v), role, v)) in y_rel
+                for role, w, consumer in rels)
+            options.append((gain, v))
+        options.sort(key=lambda option: -option[0])
+        for gain, v in options:
+            if score + gain + rest[depth + 1] <= best:
+                return
+            spent += 1
+            if spent > ALIGN_BUDGET:
+                return
+            mapping[call] = v
+            search(depth + 1, score + gain)
+            del mapping[call]
+
+    search(0, 0)
+    return _score(a, b, best, spent <= ALIGN_BUDGET)
 
 
 def smatch_exact(a: TripleSet, b: TripleSet, max_vars: int = 8) -> OverlapScore:
@@ -242,19 +230,16 @@ def smatch_exact(a: TripleSet, b: TripleSet, max_vars: int = 8) -> OverlapScore:
         raise SizeExceededError(
             f"exact alignment allows at most {max_vars} calls per graph, "
             f"got {len(a.nodes)} and {len(b.nodes)}")
-    small_a = len(a.nodes) <= len(b.nodes)
-    x, y = (a, b) if small_a else (b, a)
-    scorer = _AlignScorer(x, y)
-    best = 0
-    for perm in itertools.permutations(y.nodes, len(x.nodes)):
-        best = max(best, scorer.contrib(x.nodes, dict(zip(x.nodes, perm))))
-    return _score(a, b, best)
+    x, y = (a, b) if len(a.nodes) <= len(b.nodes) else (b, a)
+    best = max(_matched(x, y, dict(zip(x.nodes, perm)))
+               for perm in itertools.permutations(y.nodes, len(x.nodes)))
+    return _score(a, b, best, True)
 
 
 def smatch_plans(plan_a: PlanNetwork, plan_b: PlanNetwork,
                  restarts: int = 16, seed: int = 0) -> OverlapScore:
-    return smatch_score(plan_triples(plan_a), plan_triples(plan_b),
-                        restarts, seed)
+    """smatch_score of two plans; `restarts` and `seed` have no effect."""
+    return smatch_score(plan_triples(plan_a), plan_triples(plan_b))
 
 
 # ---------------------------------------------------------------------------

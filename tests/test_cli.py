@@ -103,6 +103,7 @@ def test_evaluate_against_bundled_gold(tmp_path, capsys):
     assert "dish-approximation-score: 1.0" in stdout
     report = json.loads((out / "report.json").read_text())
     assert report["smatch"]["f1"] == 1.0
+    assert report["smatch"]["exact"] is True
     assert report["goal-condition-success"]["score"] == 1.0
     assert report["dish-approximation-score"]["score"] == 1.0
     assert report["final-hash"] == report["gold-final-hash"]

@@ -1,5 +1,6 @@
 """Metric suite: plan overlap, goals, dish similarity, execution time."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from souschef import (
     plan_triples, recipe_execution_time, smatch_exact, smatch_plans,
     smatch_score,
 )
-from souschef.features import Num, Sym, Var
+from souschef.features import Num, Sym, ValueSet, Var
 
 
 def call(cid, primitive, **slots):
@@ -61,8 +62,8 @@ def test_smatch_detects_constant_differences():
 def test_smatch_exact_agrees_and_guards_size():
     a, b = two_step(), two_step("x-")
     exact = smatch_exact(plan_triples(a), plan_triples(b))
-    climbed = smatch_score(plan_triples(a), plan_triples(b))
-    assert exact.f1 == climbed.f1 == Fraction(1)
+    searched = smatch_score(plan_triples(a), plan_triples(b))
+    assert exact.f1 == searched.f1 == Fraction(1)
     big = PlanNetwork([
         call(f"n{i}", "get-kitchen-state", kitchen_state_out=Var(f"k{i}"))
         for i in range(9)
@@ -75,6 +76,88 @@ def test_smatch_empty_graph_scores_zero():
     empty = plan_triples(PlanNetwork([]))
     full = plan_triples(two_step())
     assert smatch_score(empty, full).f1 == Fraction(0)
+
+
+def renamed(network, tag="p"):
+    """The network with every variable renamed, as the bench's perturb does."""
+    def rename(term):
+        if isinstance(term, Var):
+            return Var(f"{tag}-{term.name}")
+        if isinstance(term, ValueSet):
+            return ValueSet(rename(m) for m in term)
+        return term
+
+    return PlanNetwork([
+        PlanCall(c.call_id, c.primitive,
+                 tuple((role, rename(term)) for role, term in c.slots),
+                 c.provenance)
+        for c in network.calls])
+
+
+def criterion10_f1(full, reduced):
+    """F1 when every triple the two plans share matches (criterion 10)."""
+    ta, tb = plan_triples(full), plan_triples(reduced)
+    shared = (len(set(ta.instances) & set(tb.instances))
+              + len(set(ta.attributes) & set(tb.attributes))
+              + len(set(ta.relations) & set(tb.relations)))
+    return Fraction(2 * shared, len(ta) + len(tb))
+
+
+def gold_plan(data_dir, name):
+    return load_plan(data_dir / "gold" / f"{name}.plan.json")
+
+
+def test_smatch_ignores_free_variable_names(data_dir):
+    small_a = gold_plan(data_dir, "small-a")
+    dropped = PlanNetwork(small_a.calls[1:])
+    score = smatch_plans(dropped, renamed(dropped))
+    assert score.f1 == Fraction(1)
+    assert score.exact
+
+
+def test_smatch_scores_every_single_call_drop(data_dir, gold_names):
+    for name in gold_names:
+        gold = gold_plan(data_dir, name)
+        for i in range(len(gold.calls)):
+            reduced = PlanNetwork(gold.calls[:i] + gold.calls[i + 1:])
+            expected = criterion10_f1(gold, reduced)
+            ta, tb = plan_triples(gold), plan_triples(renamed(reduced))
+            for a, b in ((ta, tb), (tb, ta)):
+                score = smatch_score(a, b)
+                assert score.exact, (name, i)
+                assert score.f1 == expected, (name, i)
+                if len(gold.calls) <= 8:
+                    assert score == smatch_exact(a, b), (name, i)
+
+
+def test_smatch_agrees_with_exhaustive_oracle_on_random_subplans(
+        data_dir, gold_names):
+    rng = random.Random(7)
+    golds = [gold_plan(data_dir, name) for name in gold_names]
+
+    def subplan():
+        calls = rng.choice(golds).calls
+        size = rng.randint(1, min(6, len(calls)))
+        keep = sorted(rng.sample(range(len(calls)), size))
+        return plan_triples(PlanNetwork([calls[i] for i in keep]))
+
+    for _ in range(300):
+        a, b = subplan(), subplan()
+        score, oracle = smatch_score(a, b), smatch_exact(a, b)
+        assert score.exact
+        assert (score.matched, score.f1) == (oracle.matched, oracle.f1)
+
+
+def test_smatch_search_budget_returns_best_alignment_found(data_dir):
+    almond = plan_triples(gold_plan(data_dir, "almond-crescent-cookies"))
+    vanilla = plan_triples(gold_plan(data_dir, "vanilla-butter-rounds"))
+    forward = smatch_score(almond, vanilla)
+    backward = smatch_score(vanilla, almond)
+    assert not forward.exact and not backward.exact
+    assert smatch_score(almond, vanilla) == forward
+    # no lower than the hill climber this matcher replaced
+    assert forward.matched >= 61
+    assert backward.matched >= 62
 
 
 def test_goal_predicates_against_final_state(almond_result, ontology):
