@@ -849,7 +849,7 @@ def _grams(quantity: Num, unit_name: str) -> Fraction:
     probe = Num(quantity.value, unit_name)
     try:
         dim, grams = normalize_num(probe)
-    except Exception:
+    except StructuralError:
         raise SimulationError("unsupported-unit", unit_name)
     if dim != "mass":
         raise SimulationError("unsupported-unit",

@@ -245,9 +245,13 @@ def smatch_plans(plan_a: PlanNetwork, plan_b: PlanNetwork,
 # ---------------------------------------------------------------------------
 # Goal-condition success
 
-GOAL_PREDICATES = (
-    "entity-count-of-kind", "property-equals", "located-at", "amount-within",
-)
+#: goal predicate -> the fields a goal of that predicate must carry
+GOAL_PREDICATES = {
+    "entity-count-of-kind": ("kind", "count"),
+    "property-equals": ("kind", "property", "value"),
+    "located-at": ("kind", "location"),
+    "amount-within": ("kind", "grams"),
+}
 
 
 def _goal_holds(goal: dict, state: KitchenState, ontology) -> bool:
@@ -289,7 +293,7 @@ def _goal_holds(goal: dict, state: KitchenState, ontology) -> bool:
                     total += grams
         return abs(total - want) <= tolerance
     raise InputError(f"unknown goal predicate: {predicate!r}; "
-                     f"expected one of {GOAL_PREDICATES}")
+                     f"expected one of {tuple(GOAL_PREDICATES)}")
 
 
 def goal_condition_success(state: KitchenState, goals: list,
@@ -302,11 +306,24 @@ def goal_condition_success(state: KitchenState, goals: list,
 
 
 def load_goals(path) -> list:
-    data = json.loads(Path(path).read_text())
+    """The goals of a goal file; InputError unless each is an object with a
+    known predicate and that predicate's fields."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"goals file is not valid JSON: {exc}")
     if isinstance(data, dict):
         data = data.get("goals")
     if not isinstance(data, list):
         raise InputError("goals file must hold a list (or {'goals': [...]})")
+    for i, goal in enumerate(data):
+        predicate = goal.get("predicate") if isinstance(goal, dict) else None
+        if not isinstance(predicate, str) or predicate not in GOAL_PREDICATES:
+            raise InputError(f"goal {i} must be an object whose 'predicate' "
+                             f"is one of {tuple(GOAL_PREDICATES)}")
+        missing = [f for f in GOAL_PREDICATES[predicate] if f not in goal]
+        if missing:
+            raise InputError(f"goal {i} ({predicate}) lacks {missing}")
     return data
 
 

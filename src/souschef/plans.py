@@ -1,14 +1,14 @@
 """Cooking plan representation: networks, completion, execution.
 
 A comprehension step yields a fragment: primitive calls over shared logic
-variables, with open slots. Completion binds every input slot from one of
-the knowledge sources (discourse memory, ontology defaults, simulator
-lookups) and leaves output slots for execution to compute. Execution is
-data-flow driven: any call whose inputs are bound may run; the simulated
-clock advances along the critical path, because passive operations (oven
-work, cooling) hand control back to the agent immediately. Chunking stores
-recurrent subplans as composite operations that expand back into the same
-calls.
+variables, with open slots. Completion binds every input slot, resolving
+each open variable once from one knowledge source (discourse memory, the
+kitchen-state chain, ontology defaults, simulator lookups), and leaves
+output slots for execution to compute. Execution is data-flow driven: any
+call whose inputs are bound may run; the simulated clock advances along
+the critical path, because passive operations (oven work, cooling) hand
+control back to the agent immediately. Chunking stores recurrent subplans
+as composite operations that expand back into the same calls.
 
 The primitives themselves, with their slots, are declared in
 `kitchen.PRIMITIVES`; execution, completion and verification read each
@@ -273,8 +273,6 @@ class SlotAnswer:
     variable: Optional[str]
     source: str
     value: object
-    rank: Optional[int] = None
-    candidates: Optional[int] = None
 
 
 @dataclass
@@ -293,50 +291,63 @@ def complete_plan(fragment: PlanFragment, node: PlotNode, ks: KitchenState,
                   ) -> CompletionResult:
     """Bind every open input slot of the fragment's calls.
 
+    Calls are completed in data-flow order, and each call's input roles are
+    visited twice in spec order. The first visit fills absent slots from
+    the ontology and resolves every open variable but the zero-anaphora
+    ones with `_resolve`; the second resolves those, excluding every entity
+    the call's discourse resolutions have named so far. A variable resolved
+    once is substituted wherever it recurs in the fragment, with no new
+    answer. A visit answers a slot at most once: with the first
+    resolution's variable and source, and every entity resolved for it.
+
     producer_of maps entity serials to the variable name that produced them
     in earlier calls, so discourse resolutions re-enter the data flow as
     variable links rather than opaque constants. chain_var is the variable
     carrying the current kitchen state (output of the previous call).
     """
-    order = _topological(fragment.calls)
-    bound_vars = fragment.vars_produced()
-    bound_vars.update(producer_of.values())
+    bound = fragment.vars_produced() | set(producer_of.values())
     if chain_var is not None:
-        bound_vars.add(chain_var)
+        bound.add(chain_var)
+    values: dict[str, object] = {}   # variable -> value it resolved to
     answers: list[SlotAnswer] = []
     calls_out = []
-    substitutions: dict[str, object] = {}
-
-    for call in order:
+    for call in _topological(fragment.calls):
         spec = PRIMITIVES.get(call.primitive)
-        # chain the kitchen state first
-        ks_in = spec.ks_in
-        if ks_in is not None:
-            term = call.slot(ks_in)
-            if isinstance(term, Var) and term.name not in bound_vars:
-                if chain_var is None:
-                    raise UnderstandingFailure(
-                        "no kitchen state available",
-                        question_id=question_id(call.call_id, ks_in))
-                call = call.with_slot(ks_in, Var(chain_var))
-                answers.append(SlotAnswer(call.call_id, ks_in, term.name,
-                                          SOURCE_PDM, Var(chain_var)))
-        resolved_ids: set[int] = set()
-        for zero_pass in (False, True):
+        named: set[int] = set()
+        for zero in (False, True):
             for role in spec.roles:
-                if role in spec.outputs or spec.slot_type(role) == KS:
-                    continue
                 term = call.slot(role)
-                binding = _complete_slot(call, spec, role, term, fragment,
-                                         node, ks, ontology, producer_of,
-                                         bound_vars, resolved_ids,
-                                         zero_pass, substitutions)
-                if binding is None:
+                if role in spec.outputs or (term is None and zero):
                     continue
-                new_term, answer = binding
-                call = call.with_slot(role, new_term)
-                if answer is not None:
-                    answers.append(answer)
+                if term is None:
+                    value = _slot_default(call, spec, role, ontology)
+                    if value is not None:
+                        call = call.with_slot(role, value)
+                        answers.append(SlotAnswer(call.call_id, role, None,
+                                                  SOURCE_ONTOLOGY, value))
+                    continue
+                mapping, found = {}, []
+                for v in vars_of(term):
+                    if v in bound:
+                        continue
+                    if v not in values:
+                        resolution = _resolve(v, zero, call, role, fragment,
+                                              node, ks, ontology, producer_of,
+                                              chain_var, named)
+                        if resolution is None:
+                            continue
+                        values[v] = resolution[1]
+                        found.append((v, *resolution))
+                    mapping[v] = values[v]
+                if mapping:
+                    call = call.with_slot(role, rename_vars(term, mapping))
+                if found:
+                    variable, source, value, ids = found[0]
+                    if ids is not None:  # locate/discourse: name them all
+                        value = _ids_term([i for *_, got in found
+                                           for i in got], {})
+                    answers.append(SlotAnswer(call.call_id, role, variable,
+                                              source, value))
         if spec.ks_out is not None:
             out_term = call.slot(spec.ks_out)
             if isinstance(out_term, Var):
@@ -345,102 +356,53 @@ def complete_plan(fragment: PlanFragment, node: PlotNode, ks: KitchenState,
     return CompletionResult(calls_out, answers, chain_var)
 
 
-def _complete_slot(call, spec, role, term, fragment, node, ks, ontology,
-                   producer_of, bound_vars, resolved_ids, zero_pass,
-                   substitutions):
-    """One slot's completion step; returns (new term, answer) or None.
+def _resolve(v, zero, call, role, fragment, node, ks, ontology, producer_of,
+             chain_var, named):
+    """(source, value, entity ids or None) for one open variable of a
+    call's input slot, or None when it belongs to the other visit (`zero`
+    is True on the second, which takes the zero-anaphora variables).
 
-    Every open variable in the term that the current pass may handle is
-    resolved here (locate and plain discourse variables on the first pass,
-    zero-anaphora variables on the second); variables belonging to the other
-    pass stay open and the slot is revisited. A slot raises one narrative
-    question, so multiple resolutions fold into a single combined answer.
+    A kitchen-state input takes the chain, a `locate` variable the first
+    entity of its kind, a discourse variable what discourse memory resolves
+    it to (adding the ids to `named`), and any other variable of a slot
+    that holds it alone the ontology default.
     """
-    if term is None:
-        value = None if zero_pass else _slot_default(call, spec, role, ontology)
-        if value is None:
+    spec = PRIMITIVES.get(call.primitive)
+    qid = question_id(call.call_id, role)
+    if spec.slot_type(role) == KS:
+        if chain_var is None:
+            raise UnderstandingFailure("no kitchen state available",
+                                       question_id=qid)
+        return SOURCE_PDM, Var(chain_var), None
+    if v in fragment.locate:
+        kind = fragment.locate[v]
+        hits = ks.entities_of_kind(kind, ontology)
+        if not hits:
+            raise UnderstandingFailure(f"no {kind} present in the kitchen",
+                                       question_id=qid)
+        serial = hits[0].serial
+        return SOURCE_SIMULATION, Num(Fraction(serial)), (serial,)
+    if v in fragment.discourse:
+        category, props = fragment.discourse[v]
+        if bool(props.get("zero")) != zero:
             return None
-        return (value, SlotAnswer(call.call_id, role, None, SOURCE_ONTOLOGY,
-                                  value))
-
-    if not [v for v in vars_of(term) if v not in bound_vars]:
-        return None
-
-    changed = False
-    resolved: list[SlotAnswer] = []
-    combined_ids: list[int] = []
-    while True:
-        open_vars = [v for v in vars_of(term) if v not in bound_vars]
-        progress = False
-        for v in open_vars:
-            if v in substitutions:
-                term = rename_vars(term, {v: substitutions[v]})
-                changed = True
-                progress = True
-                break
-            if v in fragment.locate:
-                if zero_pass:
-                    continue
-                kind = fragment.locate[v]
-                found = ks.entities_of_kind(kind, ontology)
-                if not found:
-                    raise UnderstandingFailure(
-                        f"no {kind} present in the kitchen",
-                        question_id=question_id(call.call_id, role))
-                value = Num(Fraction(found[0].serial))
-                substitutions[v] = value
-                term = rename_vars(term, {v: value})
-                combined_ids.append(found[0].serial)
-                resolved.append(SlotAnswer(call.call_id, role, v,
-                                           SOURCE_SIMULATION, value))
-                progress = True
-                break
-            if v in fragment.discourse:
-                category, props = fragment.discourse[v]
-                if bool(props.get("zero")) != zero_pass:
-                    continue
-                resolution = resolve_entity(
-                    node, ks, ontology, concept=category,
-                    properties={k: val for k, val in props.items()
-                                if k != "zero"},
-                    exclude=resolved_ids if zero_pass else ())
-                if resolution is None:
-                    raise UnderstandingFailure(
-                        f"cannot resolve '{category}' in the current context",
-                        question_id=question_id(call.call_id, role))
-                resolved_ids.update(resolution.ids)
-                combined_ids.extend(resolution.ids)
-                value = _ids_term(resolution.ids, producer_of)
-                substitutions[v] = value
-                term = rename_vars(term, {v: value})
-                resolved.append(SlotAnswer(call.call_id, role, v, SOURCE_PDM,
-                                           _ids_term(resolution.ids, {}),
-                                           rank=resolution.rank,
-                                           candidates=resolution.candidates))
-                progress = True
-                break
-            if zero_pass:
-                continue
-            value = _slot_default(call, spec, role, ontology)
-            if value is not None and isinstance(term, Var):
-                substitutions[v] = value
-                return (value, SlotAnswer(call.call_id, role, v,
-                                          SOURCE_ONTOLOGY, value))
+        resolution = resolve_entity(
+            node, ks, ontology, concept=category,
+            properties={k: x for k, x in props.items() if k != "zero"},
+            exclude=named if zero else ())
+        if resolution is None:
             raise UnderstandingFailure(
-                f"no knowledge source can fill {role} of {call.primitive}",
-                question_id=question_id(call.call_id, role))
-        if not progress:
-            break
-
-    if not resolved:
-        return (term, None) if changed else None
-    if len(resolved) == 1:
-        return (term, resolved[0])
-    first = resolved[0]
-    combined = SlotAnswer(call.call_id, role, first.variable, first.source,
-                          _ids_term(tuple(combined_ids), {}),
-                          rank=first.rank, candidates=first.candidates)
-    return (term, combined)
+                f"cannot resolve '{category}' in the current context",
+                question_id=qid)
+        named.update(resolution.ids)
+        return SOURCE_PDM, _ids_term(resolution.ids, producer_of), \
+            resolution.ids
+    value = _slot_default(call, spec, role, ontology)
+    if value is None or not isinstance(call.slot(role), Var):
+        raise UnderstandingFailure(
+            f"no knowledge source can fill {role} of {call.primitive}",
+            question_id=qid)
+    return SOURCE_ONTOLOGY, value, None
 
 
 def _ids_term(ids: tuple, producer_of: dict):
@@ -490,7 +452,6 @@ class ExecutionOutcome:
     state: KitchenState
     bindings: Bindings
     trace: ExecutionTrace
-    answers: list  # SlotAnswer for outputs (mental simulation)
 
 
 class Executor:
@@ -624,9 +585,8 @@ def execute_plan(network: PlanNetwork, ks: KitchenState, sim: KitchenSimulator,
             + ", ".join(f"{cid}.{role}(?{v})" for cid, role, v in stuck))
     rng = random.Random(seed) if seed is not None else None
     executor = Executor(sim, ks, rng=rng)
-    answers = executor.run(expand_composites(network.calls))
-    return ExecutionOutcome(executor.state, executor.bindings, executor.trace,
-                            answers)
+    executor.run(expand_composites(network.calls))
+    return ExecutionOutcome(executor.state, executor.bindings, executor.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -867,11 +827,18 @@ def plan_to_json(network: PlanNetwork) -> dict:
 
 
 def plan_from_json(data: dict) -> PlanNetwork:
-    if not isinstance(data, dict) or "calls" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("calls"), list):
         raise InputError("plan file must contain a 'calls' list")
     provenance = data.get("provenance", [])
+    if not isinstance(provenance, list):
+        raise InputError("plan 'provenance' must be a list")
     calls = []
     for i, entry in enumerate(data["calls"]):
+        if not isinstance(entry, dict) \
+                or not isinstance(entry.get("primitive"), str) \
+                or not isinstance(entry.get("slots", {}), dict):
+            raise InputError(f"plan call {i} must be an object with a "
+                             "'primitive' name and a 'slots' object")
         slots = []
         for role, term in entry.get("slots", {}).items():
             slots.append((role, _term_from_json(term)))

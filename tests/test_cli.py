@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from souschef import Ontology, cli, load_plan
 from souschef.cli import main
 from souschef.narrative import parse_curve_tsv
@@ -68,6 +70,48 @@ def test_execute_rejects_open_variable_inside_struct(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "input-error",
                    "message": "plan has open slots: c1.duration(?lo)"}
+
+
+@pytest.mark.parametrize("plan", [
+    {"calls": [{"slots": {}}]},
+    {"calls": [42]},
+    {"calls": 5},
+    {"calls": [{"primitive": "melt", "slots": []}]},
+    {"calls": [], "provenance": 3},
+], ids=["no-primitive", "call-not-an-object", "calls-not-a-list",
+        "slots-not-an-object", "provenance-not-a-list"])
+def test_execute_rejects_malformed_plan_file(tmp_path, capsys, plan):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code = main(["execute", "--plan", str(path),
+                 "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "input-error"
+
+
+@pytest.mark.parametrize("goals, missing", [
+    ('[{"predicate": "entity-count-of-kind", "count": 3}]', "kind"),
+    ('{"goals": [{"predicate": "located-at", "kind": "cookie"}]}',
+     "location"),
+    ('[{"predicate": "smells-nice"}]', "predicate"),
+    ('[42]', "predicate"),
+    ('[{"predicate"', "JSON"),
+], ids=["no-kind", "no-location", "unknown-predicate", "goal-not-an-object",
+        "not-json"])
+def test_evaluate_rejects_malformed_goal_file(tmp_path, capsys, goals,
+                                              missing):
+    path = tmp_path / "goals.json"
+    path.write_text(goals)
+    code = main(["evaluate", "--recipe", "almond-crescent-cookies",
+                 "--goals", str(path), "--out-dir", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "input-error"
+    assert missing in payload["message"]
 
 
 def test_execute_needs_plan_or_recipe(tmp_path, capsys):

@@ -108,6 +108,18 @@ def test_fetch_requires_mass_unit(sim):
                   ks)
 
 
+@pytest.mark.parametrize("unit", ["cup", "minute"])
+def test_fetch_rejects_unsupported_units(sim, unit):
+    # an unknown unit and a known non-mass unit fail alike
+    ks, _ = initial_kitchen()
+    with pytest.raises(SimulationError) as err:
+        sim.apply("fetch-and-proportion",
+                  {"concept": Sym("butter"), "quantity": Num(Fraction(1)),
+                   "unit": Sym(unit), "target-container": Sym("medium-bowl")},
+                  ks)
+    assert err.value.reason == "unsupported-unit"
+
+
 def _fetch(sim, ks, concept, grams, bowl="medium-bowl"):
     result = sim.apply("fetch-and-proportion",
                        {"concept": Sym(concept), "quantity": Num(Fraction(grams)),

@@ -192,9 +192,11 @@ def test_goal_condition_rejects_empty_and_unknown(almond_result, ontology):
 
 def test_load_goals_accepts_list_or_wrapper(tmp_path):
     plain = tmp_path / "plain.json"
-    plain.write_text('[{"predicate": "entity-count-of-kind"}]')
+    goal = ('{"predicate": "entity-count-of-kind", "kind": "cookie", '
+            '"count": 3}')
+    plain.write_text(f'[{goal}]')
     wrapped = tmp_path / "wrapped.json"
-    wrapped.write_text('{"goals": [{"predicate": "entity-count-of-kind"}]}')
+    wrapped.write_text(f'{{"goals": [{goal}]}}')
     assert load_goals(plain) == load_goals(wrapped)
     bad = tmp_path / "bad.json"
     bad.write_text('"nope"')

@@ -7,15 +7,15 @@ from fractions import Fraction
 import pytest
 
 from souschef import (
-    InputError, Ontology, PRIMITIVES, PlanCall, PlanFragment, PlanNetwork,
-    StructuralError, UnsupportedDirection, chunk, content_hash, execute_plan,
-    expand_composites, find_recurrent_pairs, load_plan, plan_from_json,
-    plan_to_json, verify_direction,
+    CookingSession, InputError, Ontology, PRIMITIVES, PlanCall, PlanFragment,
+    PlanNetwork, StructuralError, UnderstandingFailure, UnsupportedDirection,
+    chunk, content_hash, execute_plan, expand_composites, find_recurrent_pairs,
+    load_plan, plan_from_json, plan_to_json, verify_direction,
 )
-from souschef.features import Num, Struct, Sym, Var
+from souschef.features import Num, Struct, Sym, ValueSet, Var
 from souschef.kitchen import Default
 from souschef.memory import initial_plot_node
-from souschef.narrative import SOURCE_ONTOLOGY
+from souschef.narrative import SOURCE_ONTOLOGY, SOURCE_PDM
 from souschef.plans import (
     classify_slots, complete_plan, inline, normalize_fragment,
 )
@@ -212,6 +212,91 @@ def test_default_questions_and_fills_agree(with_features, expected):
               if a.source == SOURCE_ONTOLOGY}
     assert asked == set(expected)
     assert filled == expected
+
+
+def _melt(cid, item, ks="ks"):
+    return call(cid, "melt", input_ks=Var(ks), item=item,
+                output_ks=Var(f"{cid}-ks"), resultant=Var(f"{cid}-melted"))
+
+
+@pytest.mark.parametrize("calls, annotations, chain_var, failure", [
+    ([_melt("c1", Num(Fraction(1)))], {}, None,
+     ("q-c1-input-ks", "no kitchen state available")),
+    ([call("c1", "preheat-oven", input_ks=Var("ks"), device=Var("d"),
+           temperature=Num(Fraction(175), "degrees-C"),
+           output_ks=Var("ks1"), heated=Var("hot"))],
+     {"locate": {"d": "microwave"}}, "ks0",
+     ("q-c1-device", "no microwave present in the kitchen")),
+    ([_melt("c1", Var("x"))], {"discourse": {"x": ("butter", {})}}, "ks0",
+     ("q-c1-item", "cannot resolve 'butter' in the current context")),
+    ([_melt("c1", Var("x"))], {}, "ks0",
+     ("q-c1-item", "no knowledge source can fill item of melt")),
+], ids=["no-kitchen-state", "nothing-to-locate", "unresolvable-discourse",
+        "no-source"])
+def test_completion_failures_name_their_question(ontology, calls,
+                                                 annotations, chain_var,
+                                                 failure):
+    ks, _ = fresh_kitchen()
+    fragment = PlanFragment(calls=calls, **annotations)
+    with pytest.raises(UnderstandingFailure) as err:
+        complete_plan(fragment, initial_plot_node(ks.state_id), ks, ontology,
+                      {}, chain_var)
+    assert (err.value.question_id, str(err.value)) == failure
+
+
+def _butter_and_sugar(grammar, ontology):
+    """A session that has fetched butter, then white sugar, and the serial
+    of each portion by kind."""
+    ks, config = fresh_kitchen()
+    sess = CookingSession(grammar, ontology, ks, config)
+    for i, line in enumerate(["225 g butter", "70 g white sugar"]):
+        sess.run_step(i, line)
+    state = sess.executor.state
+    portion = {state.entity(s).kind: s for s in sess.producer_of}
+    assert set(portion) == {"butter", "white-sugar"}
+    return sess, portion
+
+
+def test_completion_answers_a_slot_once_and_reuses_resolutions(grammar,
+                                                               ontology):
+    # two discourse variables in one slot give one answer naming both
+    # entities; a variable met again later is substituted silently
+    sess, portion = _butter_and_sugar(grammar, ontology)
+    fragment = PlanFragment(
+        calls=[call("c9", "transfer-contents", input_ks=Var("ks"),
+                    source=ValueSet([Var("s"), Var("b")]),
+                    destination=Sym("large-bowl"), output_ks=Var("ks1"),
+                    resultant=Var("mix")),
+               _melt("c10", Var("b"), ks="ks1")],
+        discourse={"s": ("white-sugar", {}), "b": ("butter", {})})
+    done = complete_plan(fragment, sess.pdm.current, sess.executor.state,
+                         ontology, sess.producer_of, sess.chain_var)
+    ids = sorted(portion.values())
+    answers = {(a.call_id, a.role): a for a in done.answers}
+    assert set(answers) == {("c9", "input-ks"), ("c9", "source")}
+    source = answers["c9", "source"]
+    assert (source.variable, source.source) == ("s", SOURCE_PDM)
+    assert source.value.members == tuple(Num(Fraction(i)) for i in ids)
+    assert done.calls[0].slot("source") == ValueSet(
+        Var(sess.producer_of[i]) for i in ids)
+    assert done.calls[1].slot("item") == \
+        Var(sess.producer_of[portion["butter"]])
+
+
+def test_zero_anaphora_skips_what_the_call_already_names(grammar, ontology):
+    # the unstated food is not the sugar the same call names as topping,
+    # though the sugar is the most recent food
+    sess, portion = _butter_and_sugar(grammar, ontology)
+    fragment = PlanFragment(
+        calls=[call("c9", "sprinkle", input_ks=Var("ks"), targets=Var("z"),
+                    topping=Var("t"), output_ks=Var("ks1"),
+                    dusted=Var("dusted"))],
+        discourse={"z": ("food", {"zero": True}),
+                   "t": ("white-sugar", {})})
+    done = complete_plan(fragment, sess.pdm.current, sess.executor.state,
+                         ontology, sess.producer_of, sess.chain_var)
+    assert done.calls[0].slot("targets") == \
+        Var(sess.producer_of[portion["butter"]])
 
 
 def test_verify_direction_needs_a_declared_direction():

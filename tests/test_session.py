@@ -220,6 +220,35 @@ def test_bundled_analyses_are_unchanged(almond_result, vanilla_result):
         assert got == expected[name], name
 
 
+def test_bundled_question_ledgers_are_unchanged(almond_result, vanilla_result):
+    # which source answered each question of both bundled recipes, with
+    # what, and when
+    path = Path(__file__).parent / "data" / "bundled_questions.json"
+    expected = json.loads(path.read_text())
+    for name, result in ((ALMOND, almond_result), (VANILLA, vanilla_result)):
+        got = [{k: row[k] for k in ("id", "source", "answer", "answered-at")}
+               for row in (q.to_json() for q in result.inn.questions)]
+        assert got == expected[name], name
+
+
+def test_second_preheat_locates_the_oven_by_simulation(grammar, ontology,
+                                                       data_dir):
+    # the oven a second preheat names is the kitchen's oven (serial 5), not
+    # the variable the first preheat heated it into
+    text = (data_dir / "recipes" / f"{ALMOND}.txt").read_text().replace(
+        "Bake for", "Preheat the oven to 180 degrees C.\nBake for")
+    ks, config = fresh_kitchen()
+    result = run_recipe(parse_recipe(text), grammar, ontology, ks, config)
+    preheats = [c for c in result.network.calls
+                if c.primitive == "preheat-oven"]
+    assert len(preheats) == 2
+    for c in preheats:
+        assert c.slot("device") == Num(Fraction(5))
+        q = result.inn.question(question_id(c.call_id, "device"))
+        assert (q.source, q.answer) == (SOURCE_SIMULATION, Num(Fraction(5)))
+    assert result.closed
+
+
 def _perfbench_module(name: str):
     """A module of the benchmark, imported read-only."""
     with pytest.MonkeyPatch.context() as mp:
