@@ -20,7 +20,7 @@ the initial structure puts them there and only a lemmatization may
 contribute ``form``, to ``root`` alone, so every pattern unit's form facts
 match against the root's form set. The lemmatizations run before the
 search, so the root stays fixed during it: no search step changes its form
-facts, and the bundled grammar gives ``root`` nothing else.
+facts, and a grammar file lets no other construction write ``root``.
 ``merge`` overlays a contributing pole under one binding set, unioning value
 sets and failing loudly on scalar conflicts. Both are pure.
 

@@ -33,10 +33,16 @@ and its conditional pole holds only ``form`` and ``guard`` features. A
 conditional unit named by a variable no earlier unit mentions and holding
 only ``form`` and ``guard`` features is a token unit, like ``?t`` above: it
 stands for the token its form facts name, so they must mention its name. A
-form-only construction, all of whose conditional units are token units,
-leaves the search when each of its matches was applied before the search
-began. A grammar that breaks these rules fails to load with
-GrammarSyntaxError.
+construction all of whose conditional units are token units is form-only.
+Two more rules keep the layer of uncontested applications exact (see
+``Grammar.comprehend``):
+
+(A) every contributing unit of a construction that is not a lemmatization
+    is one of its own conditional units other than ``root``, or a new unit,
+    named by a variable its conditional pole never mentions;
+(B) a construction that is not form-only writes none of its token units.
+
+A grammar that breaks these rules fails to load with GrammarSyntaxError.
 """
 
 from __future__ import annotations
@@ -153,26 +159,6 @@ class Construction:
         """Every conditional unit is a token unit, so the root alone decides
         the matches."""
         return all(_token_units(self.conditional))
-
-    @cached_property
-    def confined(self) -> bool:
-        """Every contributing unit is a conditional unit or a new one: the
-        pole writes no unit that a feature value names."""
-        bound = set(variables_in_order(self.conditional))
-        names = {pu.name for pu in self.conditional}
-        return all(pu.name in names
-                   or isinstance(pu.name, Var) and pu.name.name not in bound
-                   for pu in self.contributing)
-
-    @cached_property
-    def token_patterns(self) -> tuple:
-        """The conditional units named by a variable that hold only form and
-        guard features, guards dropped: each can stand for a token."""
-        return tuple(
-            PatternUnit(pu.name, tuple((k, v) for k, v in pu.features
-                                       if k != GUARD_FEATURE))
-            for pu in self.conditional
-            if isinstance(pu.name, Var) and form_only(pu))
 
 
 def _token_units(conditional: tuple) -> list:
@@ -398,6 +384,11 @@ def _parse_cxn(node: _Node) -> Construction:
         raise GrammarSyntaxError(
             f"construction {name}: missing contributing pole", line=node.line)
     lemmatization = kind == "lemmatization"
+    conditional = poles["conditional"]
+    token_flags = _token_units(conditional)
+    tokens = {pu.name for pu, token in zip(conditional, token_flags) if token}
+    read = {pu.name for pu in conditional} - {Sym(ROOT)}
+    bound = set(variables_in_order(conditional))
     for pole, pu, line in units:
         features = {f for f, _ in pu.features}
         if pole == "conditional":
@@ -411,16 +402,26 @@ def _parse_cxn(node: _Node) -> Construction:
                 f"construction {name}: only a lemmatization may contribute "
                 f"form; it gives root only form and reads only form and "
                 f"guard features", line=line)
+        if pole == "contributing" and not lemmatization and not (
+                pu.name in read
+                or isinstance(pu.name, Var) and pu.name.name not in bound):
+            raise GrammarSyntaxError(  # rule (A)
+                f"construction {name}: contributing unit {pu.name!r} is "
+                f"neither one of its conditional units other than root nor "
+                f"a new unit", line=line)
+        if pole == "contributing" and pu.name in tokens \
+                and not all(token_flags):
+            raise GrammarSyntaxError(  # rule (B)
+                f"construction {name}: only a form-only construction may "
+                f"write its token unit {pu.name!r}", line=line)
     lines = [line for pole, _, line in units if pole == "conditional"]
-    for pu, token, line in zip(poles["conditional"],
-                               _token_units(poles["conditional"]), lines):
+    for pu, token, line in zip(conditional, token_flags, lines):
         if token and pu.name.name not in vars_of(
                 dict(pu.features).get(FORM_FEATURE)):
             raise GrammarSyntaxError(
                 f"construction {name}: token unit {pu.name!r} must name "
                 f"its token in its own form facts", line=line)
-    return Construction(name, kind, score,
-                        poles["conditional"], poles["contributing"])
+    return Construction(name, kind, score, conditional, poles["contributing"])
 
 
 def parse_grammar(text: str, procs: Optional[ProcRegistry] = None) -> tuple:
@@ -580,7 +581,7 @@ def applied_names(ts: TransientStructure) -> tuple:
 
 class Grammar:
     def __init__(self, constructions: tuple, function_words: frozenset = frozenset(),
-                 procs: Optional[ProcRegistry] = None, ontology=None):
+                 procs: Optional[ProcRegistry] = None):
         self.constructions = tuple(constructions)
         by_name = {}
         for c in self.constructions:
@@ -589,7 +590,7 @@ class Grammar:
             by_name[c.name] = c
         self.by_name = by_name
         self.function_words = frozenset(function_words)
-        self.procs = procs if procs is not None else make_registry(ontology)
+        self.procs = procs if procs is not None else make_registry(None)
         self.anchors = {c.name: construction_anchors(c, self.procs)
                         for c in self.constructions}
 
@@ -626,14 +627,14 @@ class Grammar:
         fixed root decides its matches and their ``applied`` entries in
         every state. A match joins the layer when (i) its tokens (those it
         touches and those its units stand for) meet those of no other
-        form-only match, (ii) no form-only unit of a candidate that is not
-        form-only can stand for one of them (``Construction.token_patterns``,
-        guards ignored), and (iii) applying it changes the state. The layer
-        is made only when every candidate writes its own conditional units
-        or new ones (``Construction.confined``), so by (i) and (ii) no other
-        application writes the match's units. It stays enabled until made
-        and only adds to the state, so every terminal state contains it and
-        it commutes to the front of every path: a persistent set of one
+        form-only match and (ii) applying it changes the state. No other
+        application writes the match's units before it makes them: by (i)
+        no other form-only match names these tokens, and by rules (A) and
+        (B) of grammar files any other construction writes only new units
+        and conditional units that are not token units, which match only
+        units that exist already. So the match stays enabled until made
+        and only adds to the state; every terminal state contains it and it
+        commutes to the front of every path: a persistent set of one
         element (Godefroid 1996). The terminal states are unchanged; of the
         rank's keys only the order of ``applied_names`` can differ. A
         form-only construction none of whose matches stayed out of the
@@ -710,16 +711,10 @@ class Grammar:
                            candidates: list) -> tuple:
         """(ts with every uncontested form-only application made, the
         candidates the search still needs); see ``comprehend``."""
-        if not all(c.confined for c in candidates):
-            return ts, candidates
+        form_cxns = [cxn for cxn in candidates if cxn.form_only]
         trials = []  # (cxn, match, its tokens)
-        claims: Counter = Counter()  # token -> form-only matches and units
-        for cxn in candidates:
-            if not cxn.form_only:  # (ii): the tokens its units can name
-                for pu in cxn.token_patterns:
-                    claims.update({r.bindings.walk(pu.name)
-                                   for r in match((pu,), ts, self.procs)})
-                continue
+        claims: Counter = Counter()  # token -> form-only matches naming it
+        for cxn in form_cxns:
             for mr in match(cxn.conditional, ts, self.procs):
                 tokens = {Sym(t) for t in mr.touched_tokens} \
                     | {mr.bindings.walk(pu.name) for pu in cxn.conditional}
@@ -728,9 +723,9 @@ class Grammar:
         key = ts.content_key()
         # form-only constructions leave the search unless one of their
         # matches stays out of the layer
-        settled = {cxn.name for cxn in candidates if cxn.form_only}
+        settled = {cxn.name for cxn in form_cxns}
         for cxn, mr, tokens in trials:
-            child = None  # (i) and (ii): no other claim; (iii) below
+            child = None  # (i): no other claim; (ii) below
             if all(claims[t] == 1 for t in tokens):
                 child = _apply_match(cxn, mr, ts, self.procs)
             child_key = child.content_key() if child is not None else key
@@ -926,9 +921,8 @@ def _count_dangling(ts: TransientStructure) -> int:
 # Loading
 
 
-def load_grammar(path, ontology=None,
-                 procs: Optional[ProcRegistry] = None) -> Grammar:
+def load_grammar(path, ontology=None) -> Grammar:
     text = Path(path).read_text()
-    registry = procs if procs is not None else make_registry(ontology)
+    registry = make_registry(ontology)
     constructions, function_words = parse_grammar(text, registry)
     return Grammar(constructions, function_words, registry)

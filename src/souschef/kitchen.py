@@ -125,19 +125,6 @@ class KitchenState:
                 return self.entities[serial]
         raise SimulationError("missing-entity", f"no location named {name}")
 
-    def location_of(self, serial: int) -> Optional[str]:
-        """Name of the location whose subtree contains the entity."""
-        for name, loc_serial in self.locations:
-            frontier = [loc_serial]
-            while frontier:
-                s = frontier.pop()
-                if s == serial:
-                    return name
-                e = self.entities.get(s)
-                if e is not None:
-                    frontier.extend(e.contents)
-        return None
-
     def parent_of(self, serial: int) -> Optional[KitchenEntity]:
         for e in self.entities.values():
             if serial in e.contents:
@@ -146,9 +133,6 @@ class KitchenState:
 
     def is_location(self, entity: KitchenEntity) -> bool:
         return any(entity.serial == s for _, s in self.locations)
-
-    def is_container(self, entity: KitchenEntity) -> bool:
-        return entity.container
 
     def food_children(self, entity: KitchenEntity) -> list[KitchenEntity]:
         return [self.entities[s] for s in entity.contents
@@ -212,8 +196,9 @@ class _Builder:
     """Scratch pad for one primitive application: edits its own copy of the
     entity map and commits it to a fresh state."""
 
-    def __init__(self, ks: KitchenState):
+    def __init__(self, ks: KitchenState, preheat_required: bool):
         self.ks = ks
+        self.preheat_required = preheat_required  # a cold-oven bake fails
         self.entities = dict(ks.entities)
         self.next_serial = ks.next_serial
 
@@ -262,6 +247,8 @@ class _Builder:
 def _merge_config(overrides: Optional[dict]) -> dict:
     """DEFAULT_CONFIG with the overrides applied; a nested table such as
     portion-grams takes new entries, but a top-level key must be known."""
+    if overrides is not None and not isinstance(overrides, dict):
+        raise InputError("kitchen 'config' must be an object")
     config = {k: dict(v) if isinstance(v, dict) else v
               for k, v in DEFAULT_CONFIG.items()}
     for key, value in (overrides or {}).items():
@@ -280,6 +267,8 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
     if spec is None:
         return load_kitchen(Path(__file__).parent / "data" / "kitchen.json")
     loc_spec = spec.get("locations", {})
+    if not isinstance(loc_spec, dict):
+        raise InputError("kitchen 'locations' must be an object")
     for name in loc_spec:
         if name not in LOCATIONS:
             raise InputError(f"unknown location in kitchen spec: {name}")
@@ -478,6 +467,8 @@ class KitchenSimulator:
             return Fraction(minutes)
         value = slots.get("duration")
         if value is None:
+            # the fallback is a kitchen-config value, and apply needs it
+            # before the handler runs
             if name == "cool-until":
                 return Fraction(self.config["default-cool-minutes"])
             raise SimulationError("bad-duration", f"{name} needs a duration")
@@ -491,19 +482,19 @@ class KitchenSimulator:
         spec = _simulated(name)
         dclock = self.duration_of(name, slots)
         start = ks.clock if start is None else start
-        b = _Builder(ks)
-        outputs, warnings = spec.handler(self, b, slots, preheat_required)
+        b = _Builder(ks, preheat_required)
+        outputs, warnings = spec.handler(self, b, slots)
         new_clock = max(ks.clock, start + dclock)
-        if name == "get-kitchen-state":
+        if spec.ks_in is None:  # takes no kitchen state, so makes none
             return ApplyResult(ks, outputs, dclock, tuple(warnings))
         return ApplyResult(b.commit(new_clock), outputs, dclock, tuple(warnings))
 
     # -- handlers ------------------------------------------------------------
 
-    def _get_kitchen_state(self, b, slots, preheat_required):
+    def _get_kitchen_state(self, b, slots):
         return {}, []
 
-    def _fetch_and_proportion(self, b, slots, preheat_required):
+    def _fetch_and_proportion(self, b, slots):
         concept = self._slot(slots, "concept", "fetch-and-proportion")
         quantity = self._slot(slots, "quantity", "fetch-and-proportion")
         unit = self._slot(slots, "unit", "fetch-and-proportion")
@@ -530,7 +521,7 @@ class KitchenSimulator:
         portion = b.create(source.kind, bowl.serial, composition=taken)
         return {"resultant": Num(Fraction(portion.serial))}, []
 
-    def _fetch(self, b, slots, preheat_required, container: bool):
+    def _fetch(self, b, slots, container: bool):
         concept = self._slot(slots, "concept",
                              "fetch-container" if container else "fetch-tool")
         if not isinstance(concept, Sym):
@@ -539,13 +530,13 @@ class KitchenSimulator:
         b.move(found.serial, b.ks.location("counter-top").serial)
         return {"fetched": Num(Fraction(found.serial))}, []
 
-    def _fetch_tool(self, b, slots, preheat_required):
-        return self._fetch(b, slots, preheat_required, container=False)
+    def _fetch_tool(self, b, slots):
+        return self._fetch(b, slots, container=False)
 
-    def _fetch_container(self, b, slots, preheat_required):
-        return self._fetch(b, slots, preheat_required, container=True)
+    def _fetch_container(self, b, slots):
+        return self._fetch(b, slots, container=True)
 
-    def _transfer_contents(self, b, slots, preheat_required):
+    def _transfer_contents(self, b, slots):
         source = self._slot(slots, "source", "transfer-contents")
         destination = self._slot(slots, "destination", "transfer-contents")
         dest = self._entity_ref(b.ks, destination)
@@ -591,7 +582,7 @@ class KitchenSimulator:
                     return
         raise SimulationError("missing-entity", f"no {tool.name} available")
 
-    def _beat(self, b, slots, preheat_required):
+    def _beat(self, b, slots):
         items = self._slot(slots, "items", "beat")
         self._require_tool(b, slots)
         foods = self._foods(b.ks, items, "beat")
@@ -603,7 +594,7 @@ class KitchenSimulator:
         mixture = self._merge_foods(b, container, foods, mixed)
         return {"resultant": Num(Fraction(mixture.serial))}, []
 
-    def _combine_homogeneous(self, b, slots, preheat_required):
+    def _combine_homogeneous(self, b, slots):
         target = self._slot(slots, "target", "combine-homogeneous")
         self._require_tool(b, slots)
         container = self._entity_ref(b.ks, target)
@@ -618,7 +609,7 @@ class KitchenSimulator:
         mixture = self._merge_foods(b, container, foods, "homogeneous")
         return {"resultant": Num(Fraction(mixture.serial))}, []
 
-    def _melt(self, b, slots, preheat_required):
+    def _melt(self, b, slots):
         item = self._slot(slots, "item", "melt")
         foods = self._foods(b.ks, item, "melt")
         for f in foods:
@@ -626,7 +617,7 @@ class KitchenSimulator:
                 "temperature", Fraction(self.config["melt-temperature"])))
         return {"resultant": _one_or_set(foods)}, []
 
-    def _shape(self, b, slots, preheat_required):
+    def _shape(self, b, slots):
         items = self._slot(slots, "items", "shape")
         form = self._slot(slots, "shape", "shape")
         if not isinstance(form, Sym):
@@ -636,14 +627,14 @@ class KitchenSimulator:
             b.put(b.get(f.serial).with_prop("shape", form.name))
         return {"resultant": _one_or_set(foods)}, []
 
-    def _flatten(self, b, slots, preheat_required):
+    def _flatten(self, b, slots):
         items = self._slot(slots, "items", "flatten")
         foods = self._foods(b.ks, items, "flatten")
         for f in foods:
             b.put(b.get(f.serial).with_prop("shape", "flattened"))
         return {"resultant": _one_or_set(foods)}, []
 
-    def _portion_and_arrange(self, b, slots, preheat_required):
+    def _portion_and_arrange(self, b, slots):
         source_ref = self._slot(slots, "source-item", "portion-and-arrange")
         unit = self._slot(slots, "portion-unit", "portion-and-arrange")
         destination = self._slot(slots, "destination", "portion-and-arrange")
@@ -681,7 +672,7 @@ class KitchenSimulator:
             b.put(b.get(source.serial).with_composition(left))
         return {"portions": _id_set(serials)}, []
 
-    def _line_with(self, b, slots, preheat_required):
+    def _line_with(self, b, slots):
         target = self._slot(slots, "container", "line-with")
         liner = self._slot(slots, "liner", "line-with")
         container = self._entity_ref(b.ks, target)
@@ -697,7 +688,7 @@ class KitchenSimulator:
         b.put(b.get(container.serial).with_prop("lined-with", liner_kind))
         return {"lined": Num(Fraction(container.serial))}, []
 
-    def _preheat_oven(self, b, slots, preheat_required):
+    def _preheat_oven(self, b, slots):
         device = self._slot(slots, "device", "preheat-oven")
         temperature = self._slot(slots, "temperature", "preheat-oven")
         oven = self._entity_ref(b.ks, device)
@@ -706,7 +697,7 @@ class KitchenSimulator:
         b.put(b.get(oven.serial).with_prop("temperature", temperature.value))
         return {"heated": Num(Fraction(oven.serial))}, []
 
-    def _bake(self, b, slots, preheat_required):
+    def _bake(self, b, slots):
         target = self._slot(slots, "target", "bake")
         oven_ref = slots.get("oven", Sym("oven"))
         duration = slots.get("duration")
@@ -714,7 +705,7 @@ class KitchenSimulator:
         warnings = []
         temp = oven.prop("temperature")
         if temp is None:
-            if preheat_required:
+            if b.preheat_required:
                 raise SimulationError("oven-not-preheated",
                                       "bake before preheat-oven completed")
             warnings.append("bake: oven was never preheated")
@@ -752,7 +743,7 @@ class KitchenSimulator:
                         return Fraction(limit)
         return None
 
-    def _cool_until(self, b, slots, preheat_required):
+    def _cool_until(self, b, slots):
         target = self._slot(slots, "target", "cool-until")
         foods = self._foods(b.ks, target, "cool")
         ambient = Fraction(self.config["ambient-temperature"])
@@ -764,7 +755,7 @@ class KitchenSimulator:
             out = _id_set(f.serial for f in foods)
         return {"cooled": out}, []
 
-    def _sprinkle(self, b, slots, preheat_required):
+    def _sprinkle(self, b, slots):
         targets = self._slot(slots, "targets", "sprinkle")
         topping_ref = self._slot(slots, "topping", "sprinkle")
         foods = self._foods(b.ks, targets, "sprinkle on")
@@ -796,11 +787,11 @@ class KitchenSimulator:
         b.drop(topping.serial)
         return {"dusted": _id_set(f.serial for f in foods)}, []
 
-    def _set_timer(self, b, slots, preheat_required):
+    def _set_timer(self, b, slots):
         self._slot(slots, "duration", "set-timer/elapse")
         return {"elapsed": Sym("elapsed")}, []
 
-    def _serve(self, b, slots, preheat_required):
+    def _serve(self, b, slots):
         items = self._slot(slots, "items", "serve")
         foods = self._foods(b.ks, items, "serve")
         plate = self._find_in_drawer(b.ks, "plate", container=True)

@@ -33,9 +33,19 @@ class Ontology:
         self._parents: dict[str, tuple[str, ...]] = {}
         self._features: dict[str, dict] = {}
         for name, entry in concepts.items():
-            parents = tuple(entry.get("is-a", ()))
-            self._parents[name] = parents
-            self._features[name] = dict(entry.get("features", {}))
+            if not isinstance(entry, dict):
+                raise InputError(f"concept {name} must be an object")
+            parents = entry.get("is-a", [])
+            if not isinstance(parents, list) \
+                    or not all(isinstance(p, str) for p in parents):
+                raise InputError(f"concept {name}: 'is-a' must be a list of "
+                                 f"concept names")
+            features = entry.get("features", {})
+            if not isinstance(features, dict):
+                raise InputError(
+                    f"concept {name}: 'features' must be an object")
+            self._parents[name] = tuple(parents)
+            self._features[name] = dict(features)
         for name, parents in self._parents.items():
             for p in parents:
                 if p not in self._parents:
@@ -142,14 +152,6 @@ class PlotNode:
     question_refs: tuple = ()           # ids of narrative questions raised here
 
 
-@dataclass(frozen=True)
-class Resolution:
-    ids: tuple[int, ...]
-    rank: int  # position scanned in the accessible list (0 = most recent)
-    candidates: int  # how many entries satisfied the constraints
-    concept: str
-
-
 def initial_plot_node(kitchen_state_id: str) -> PlotNode:
     ks_entry = AccessibleEntity((), KITCHEN_STATE_CONCEPT, -1)
     return PlotNode(0, (ks_entry,), kitchen_state_id)
@@ -170,8 +172,9 @@ class PersonalDynamicMemory:
 def resolve_entity(node: PlotNode, kitchen_state, ontology: Ontology,
                    concept: Optional[str] = None,
                    properties: Optional[dict] = None,
-                   exclude: Iterable[int] = ()) -> Optional[Resolution]:
-    """Most recent accessible entity compatible with the constraints.
+                   exclude: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
+    """Entity ids of the most recent accessible entry compatible with the
+    constraints, or None.
 
     Scans the accessible list front to back (most recent first; demoted
     entries naturally sit behind survivors). Compatibility: the entry's
@@ -179,25 +182,17 @@ def resolve_entity(node: PlotNode, kitchen_state, ontology: Ontology,
     requested property holds. A food entry also makes its enclosing container
     reachable ("the bowl of butter" is one discourse referent); when a
     container is requested and the entry itself is food, the parent container
-    is the candidate. Multiple candidates are not an error; recency decides,
-    and the report carries rank and candidate count.
+    is the candidate. Multiple candidates are not an error; recency decides.
     """
     properties = properties or {}
     exclude = set(exclude)
-    hit: Optional[Resolution] = None
-    candidates = 0
-    for rank, entry in enumerate(node.accessible):
+    for entry in node.accessible:
         if entry.ids and exclude.intersection(entry.ids):
             continue
         found = _candidate_ids(entry, kitchen_state, ontology, concept, properties)
-        if found is None or (found and exclude.intersection(found)):
-            continue
-        candidates += 1
-        if hit is None:
-            hit = Resolution(found, rank, 0, entry.concept)
-    if hit is None:
-        return None
-    return Resolution(hit.ids, hit.rank, candidates, hit.concept)
+        if found is not None and not exclude.intersection(found):
+            return found
+    return None
 
 
 def _candidate_ids(entry: AccessibleEntity, ks, ontology: Ontology,
@@ -286,7 +281,7 @@ def advance_plot(pdm: PersonalDynamicMemory, kitchen_state,
         if all(e is None for e in entities):
             continue  # nothing left to refer to
         spent = all(
-            e is not None and kitchen_state.is_container(e)
+            e is not None and e.container
             and not kitchen_state.food_children(e)
             for e in entities
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -254,6 +255,19 @@ GOAL_PREDICATES = {
 }
 
 
+#: Per goal field, the JSON types it may take (a boolean is no number, nor
+#: is Infinity or NaN) and their name in an error.
+_GOAL_FIELD_TYPES = {
+    "kind": ((str,), "a string"),
+    "property": ((str,), "a string"),
+    "location": ((str,), "a string"),
+    "count": ((int,), "an integer"),
+    "grams": ((int, float), "a number"),
+    "tolerance": ((int, float), "a number"),
+    "value": ((str, int, float), "a string or a number"),
+}
+
+
 def _goal_holds(goal: dict, state: KitchenState, ontology) -> bool:
     predicate = goal.get("predicate")
     if predicate == "entity-count-of-kind":
@@ -324,6 +338,14 @@ def load_goals(path) -> list:
         missing = [f for f in GOAL_PREDICATES[predicate] if f not in goal]
         if missing:
             raise InputError(f"goal {i} ({predicate}) lacks {missing}")
+        for fname, value in goal.items():
+            if fname not in _GOAL_FIELD_TYPES:
+                continue
+            types, what = _GOAL_FIELD_TYPES[fname]
+            if isinstance(value, bool) or not isinstance(value, types) \
+                    or isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"goal {i} ({predicate}): '{fname}' must be "
+                                 f"{what}, got {value!r}")
     return data
 
 

@@ -111,9 +111,6 @@ class IntegrativeNarrativeNetwork:
             raise InputError(f"no such question: {qid}")
         return q
 
-    def has_question(self, qid: str) -> bool:
-        return qid in self._by_id
-
     def open_questions(self) -> list:
         return [q for q in self.questions if q.status == "open"]
 

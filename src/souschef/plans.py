@@ -386,17 +386,16 @@ def _resolve(v, zero, call, role, fragment, node, ks, ontology, producer_of,
         category, props = fragment.discourse[v]
         if bool(props.get("zero")) != zero:
             return None
-        resolution = resolve_entity(
+        ids = resolve_entity(
             node, ks, ontology, concept=category,
             properties={k: x for k, x in props.items() if k != "zero"},
             exclude=named if zero else ())
-        if resolution is None:
+        if ids is None:
             raise UnderstandingFailure(
                 f"cannot resolve '{category}' in the current context",
                 question_id=qid)
-        named.update(resolution.ids)
-        return SOURCE_PDM, _ids_term(resolution.ids, producer_of), \
-            resolution.ids
+        named.update(ids)
+        return SOURCE_PDM, _ids_term(ids, producer_of), ids
     value = _slot_default(call, spec, role, ontology)
     if value is None or not isinstance(call.slot(role), Var):
         raise UnderstandingFailure(
@@ -485,6 +484,7 @@ class Executor:
 
     def run(self, calls: list) -> list:
         """Execute the given calls to completion; returns output answers."""
+        # a rule over all the calls of one run, not a fact of one primitive
         if any(c.primitive == "preheat-oven" for c in calls):
             self.preheat_required = True
         # (call, its input variables); a call is ready once all are bound

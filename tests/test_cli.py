@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,22 @@ def test_understand_writes_artifacts(tmp_path, capsys):
     assert len(rows) == 20
     questions = json.loads((out / "questions.json").read_text())
     assert questions["closure"]["open"] == 0
+
+
+def test_understand_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashing, and with it set order, changes with PYTHONHASHSEED
+    src = Path(cli.__file__).resolve().parents[1]
+    names = ("plan.json", "questions.json", "curve.tsv", "trace.jsonl")
+    written = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-m", "souschef.cli", "understand",
+                        "--recipe", "almond-crescent-cookies",
+                        "--trace-level", "full", "--out-dir", str(out)],
+                       env=env, check=True, capture_output=True)
+        written.append({name: (out / name).read_bytes() for name in names})
+    assert written[0] == written[1]
 
 
 def test_understand_resolves_bundled_recipe_names(tmp_path):
@@ -98,8 +118,17 @@ def test_execute_rejects_malformed_plan_file(tmp_path, capsys, plan):
     ('[{"predicate": "smells-nice"}]', "predicate"),
     ('[42]', "predicate"),
     ('[{"predicate"', "JSON"),
+    ('[{"predicate": "entity-count-of-kind", "kind": "cookie",'
+     ' "count": "three"}]', "'count'"),
+    ('[{"predicate": "amount-within", "kind": "butter", "grams": "x"}]',
+     "'grams'"),
+    ('[{"predicate": "amount-within", "kind": "butter", "grams": 500,'
+     ' "tolerance": Infinity}]', "'tolerance'"),
+    ('[{"predicate": "entity-count-of-kind", "kind": 5, "count": 30}]',
+     "'kind'"),
 ], ids=["no-kind", "no-location", "unknown-predicate", "goal-not-an-object",
-        "not-json"])
+        "not-json", "count-not-an-integer", "grams-not-a-number",
+        "tolerance-not-finite", "kind-not-a-string"])
 def test_evaluate_rejects_malformed_goal_file(tmp_path, capsys, goals,
                                               missing):
     path = tmp_path / "goals.json"
@@ -112,6 +141,27 @@ def test_evaluate_rejects_malformed_goal_file(tmp_path, capsys, goals,
     payload = json.loads(err[0])
     assert payload["error"] == "input-error"
     assert missing in payload["message"]
+
+
+@pytest.mark.parametrize("flag, world, field", [
+    ("--kitchen", {"locations": 3}, "locations"),
+    ("--kitchen", {"config": 5}, "config"),
+    ("--ontology", {"concepts": {"butter": 5}}, "butter"),
+    ("--ontology", {"concepts": {"butter": {"is-a": 5}}}, "is-a"),
+], ids=["kitchen-locations", "kitchen-config", "ontology-concept",
+        "ontology-is-a"])
+def test_malformed_world_file_is_an_input_error(tmp_path, capsys, flag,
+                                                world, field):
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(world))
+    code = main(["understand", "--recipe", "almond-crescent-cookies", flag,
+                 str(path), "--out-dir", str(tmp_path / "u")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "input-error"
+    assert field in payload["message"]
 
 
 def test_execute_needs_plan_or_recipe(tmp_path, capsys):

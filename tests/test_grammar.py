@@ -112,6 +112,38 @@ def test_parse_grammar_rejects_form_contributed_off_root():
         assert err.value.line == 4, text
 
 
+@pytest.mark.parametrize("text, line", [
+    # rule (A): ?l is bound by a feature value, not a unit of the pole
+    ("""
+    (cxn flour-left-edge :kind abstract :score 1/10
+      (conditional (?n (lex-class noun) (lb ?l) (rb ?r)
+                       (form (string ?r "flour"))))
+      (contributing (?n (cat flour))
+                    (?l (left-edge true))))
+    """, 6),
+    # rule (A): root is read, but only a lemmatization writes it
+    ("""
+    (cxn root-mark :kind lexical :score 1/2
+      (conditional (root (form (string ?t "x")))
+                   (?t (form (string ?t "x"))))
+      (contributing (root (marked true))))
+    """, 5),
+    # rule (B): ?a is a token unit of a construction that is not form-only
+    ("""
+    (cxn white-sugar-pair :kind abstract :score 1/10
+      (conditional (?a (form (string ?a "white") (meets ?a ?b)))
+                   (?b (form (string ?b "sugar"))))
+      (contributing (?b (cat white-sugar))
+                    (?a (lex-class modifier))))
+    """, 6),
+], ids=["bound-value", "root", "token-unit"])
+def test_parse_grammar_rejects_writes_the_layer_cannot_see(text, line):
+    # each offending contributing unit is reported by its line
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar(text)
+    assert err.value.line == line
+
+
 def test_grammar_variables_may_not_contain_tilde():
     # state variables are all stem~N; grammar variables must never equal one
     with pytest.raises(GrammarSyntaxError) as err:
@@ -402,17 +434,9 @@ CONTESTING_CONSTRUCTIONS = """
 (cxn white-adjective :kind lexical :score 1/2
   (conditional (?t (form (string ?t "white"))))
   (contributing (?t (lex-class adjective))))
-(cxn white-sugar-pair :kind abstract :score 1/10
-  (conditional (?a (form (string ?a "white") (meets ?a ?b)))
-               (?b (form (string ?b "sugar"))))
-  (contributing (?a (lex-class modifier))))
 (cxn and-word :kind lexical :score 1/2
   (conditional (?t (form (string ?t "and"))))
   (contributing (?t (lex-class conjunction))))
-(cxn flour-left-edge :kind abstract :score 1/10
-  (conditional (?n (lex-class noun) (lb ?l) (rb ?r)
-                   (form (string ?r "flour"))))
-  (contributing (?l (left-edge true))))
 """
 
 
@@ -422,23 +446,23 @@ CONTESTING_CONSTRUCTIONS = """
 LEFT_THE_SEARCH = {
     "70 g white sugar": ["number-word", "range-word", "gram-measure"],
     "Melt the butter and sugar": ["number-word", "range-word", "butter-noun",
-                                  "sugar-noun"],
-    "60 g almond flour": [],
+                                  "sugar-noun", "and-word"],
+    "60 g almond flour": ["number-word", "range-word", "gram-measure",
+                          "almond-flour-noun"],
 }
 
 
 @pytest.mark.parametrize("sentence, layer, searched", [
-    # sugar-noun and white-sugar-noun touch the same token; white-sugar-pair
-    # matches once sugar-noun made a unit of "sugar" (its ?b is bound by ?a's
-    # facts), then writes the unit white-adjective makes
+    # sugar-noun and white-sugar-noun touch the same token, and so do
+    # white-adjective and white-sugar-noun
     ("70 g white sugar", ["number-word", "gram-measure"],
      ["sugar-noun", "white-sugar-noun", "white-adjective"]),
-    # np-and's form-only ?and unit can stand for the token and-word reads
-    ("Melt the butter and sugar", ["butter-noun", "sugar-noun"],
-     ["and-word"]),
-    # flour-left-edge writes the unit a bound value names: no layer
-    ("60 g almond flour", [],
-     ["number-word", "gram-measure", "almond-flour-noun"]),
+    # np-and's ?and unit only reads the token and-word writes
+    ("Melt the butter and sugar", ["butter-noun", "sugar-noun", "and-word"],
+     []),
+    # nothing contests a token
+    ("60 g almond flour", ["number-word", "gram-measure", "almond-flour-noun"],
+     []),
 ])
 def test_contested_applications_stay_in_the_search(
         data_dir, ontology, monkeypatch, sentence, layer, searched):

@@ -70,11 +70,10 @@ def test_resolve_entity_prefers_most_recent(ontology, kitchen):
     sugar = [e for e in ks.entities.values() if e.kind == "white-sugar"][0]
     flour = [e for e in ks.entities.values() if e.kind == "wheat-flour"][0]
     node = _node(((sugar.serial,), "white-sugar"), ((flour.serial,), "wheat-flour"))
-    hit = resolve_entity(node, ks, ontology, concept="food")
-    assert hit.ids == (sugar.serial,)
-    assert hit.candidates == 2
-    hit = resolve_entity(node, ks, ontology, concept="flour")
-    assert hit.ids == (flour.serial,)
+    assert resolve_entity(node, ks, ontology, concept="food") == \
+        (sugar.serial,)
+    assert resolve_entity(node, ks, ontology, concept="flour") == \
+        (flour.serial,)
     assert resolve_entity(node, ks, ontology, concept="tool") is None
 
 
@@ -83,16 +82,14 @@ def test_resolve_entity_exclusion(ontology, kitchen):
     sugar = [e for e in ks.entities.values() if e.kind == "white-sugar"][0]
     flour = [e for e in ks.entities.values() if e.kind == "wheat-flour"][0]
     node = _node(((sugar.serial,), "white-sugar"), ((flour.serial,), "wheat-flour"))
-    hit = resolve_entity(node, ks, ontology, concept="food",
-                         exclude=(sugar.serial,))
-    assert hit.ids == (flour.serial,)
+    assert resolve_entity(node, ks, ontology, concept="food",
+                          exclude=(sugar.serial,)) == (flour.serial,)
 
 
 def test_resolve_entity_promotes_food_to_its_container(ontology, sim_state):
     ks, portion, bowl = sim_state
     node = _node(((portion,), "butter"))
-    hit = resolve_entity(node, ks, ontology, concept="container")
-    assert hit.ids == (bowl,)
+    assert resolve_entity(node, ks, ontology, concept="container") == (bowl,)
 
 
 @pytest.fixture()
@@ -114,9 +111,8 @@ def sim_state(ontology, kitchen):
 def test_resolve_entity_min_contents_property(ontology, sim_state):
     ks, portion, bowl = sim_state
     node = _node(((bowl,), "medium-bowl"))
-    hit = resolve_entity(node, ks, ontology, concept="container",
-                         properties={"min-contents": 1})
-    assert hit.ids == (bowl,)
+    assert resolve_entity(node, ks, ontology, concept="container",
+                          properties={"min-contents": 1}) == (bowl,)
     assert resolve_entity(node, ks, ontology, concept="container",
                           properties={"min-contents": 2}) is None
 
@@ -130,5 +126,4 @@ def test_advance_plot_pushes_new_entities_to_front(ontology, sim_state):
     assert node.accessible[0].ids == (bowl,)
     assert node.accessible[1].ids == (portion,)
     assert len(pdm.plot) == 3
-    hit = resolve_entity(node, ks, ontology, concept="butter")
-    assert hit.ids == (portion,)
+    assert resolve_entity(node, ks, ontology, concept="butter") == (portion,)

@@ -137,7 +137,8 @@ def test_understanding_failure_names_the_unknown_token(grammar, ontology):
         session.run_step(0, "Defenestrate the butter vigorously.")
     assert "defenestrate" in str(err.value).lower()
     assert err.value.question_id is not None
-    assert session.inn.has_question(err.value.question_id)
+    assert session.inn.question(err.value.question_id).qid == \
+        err.value.question_id
 
 
 def test_session_runs_incrementally(grammar, ontology):
