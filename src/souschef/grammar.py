@@ -921,7 +921,7 @@ def _count_dangling(ts: TransientStructure) -> int:
 # Loading
 
 
-def load_grammar(path, ontology=None) -> Grammar:
+def load_grammar(path, ontology) -> Grammar:
     text = Path(path).read_text()
     registry = make_registry(ontology)
     constructions, function_words = parse_grammar(text, registry)

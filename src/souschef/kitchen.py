@@ -30,7 +30,7 @@ from .errors import (
     DuplicateNameError, InputError, SimulationError, StructuralError,
 )
 from .features import Num, Struct, Sym, ValueSet, normalize_num
-from .serialize import fv_to_json
+from .serialize import NUMBER, check_shape, fv_to_json, read_json
 
 LOCATIONS = ("pantry", "fridge", "freezer", "counter-top", "oven", "tool-drawer")
 
@@ -44,6 +44,16 @@ DEFAULT_CONFIG: dict = {
     "ambient-temperature": 20,
     "melt-temperature": 40,
     "default-cool-minutes": 5,
+}
+
+#: The shape of a kitchen file (see `serialize.check_shape`).
+KITCHEN_SHAPE = {
+    "locations?": {f"{name}?": [{
+        "kind": str, "grams?": NUMBER, "count?": int, "container?": bool,
+        "properties?": {"*": (str, *NUMBER)},
+    }] for name in LOCATIONS},
+    "config?": {f"{key}?": {"*": NUMBER} if isinstance(value, dict) else NUMBER
+                for key, value in DEFAULT_CONFIG.items()},
 }
 
 
@@ -148,13 +158,9 @@ class KitchenState:
                 out.extend(self.food_leaves(child))
         return out
 
-    def entities_of_kind(self, kind: str, ontology=None) -> list[KitchenEntity]:
-        out = []
-        for s in sorted(self.entities):
-            e = self.entities[s]
-            if e.kind == kind or (ontology is not None and ontology.is_a(e.kind, kind)):
-                out.append(e)
-        return out
+    def entities_of_kind(self, kind: str, ontology) -> list[KitchenEntity]:
+        return [self.entities[s] for s in sorted(self.entities)
+                if ontology.is_kind(self.entities[s].kind, kind)]
 
     def total_composition(self) -> dict[str, Fraction]:
         totals: dict[str, Fraction] = {}
@@ -245,20 +251,11 @@ class _Builder:
 
 
 def _merge_config(overrides: Optional[dict]) -> dict:
-    """DEFAULT_CONFIG with the overrides applied; a nested table such as
-    portion-grams takes new entries, but a top-level key must be known."""
-    if overrides is not None and not isinstance(overrides, dict):
-        raise InputError("kitchen 'config' must be an object")
-    config = {k: dict(v) if isinstance(v, dict) else v
-              for k, v in DEFAULT_CONFIG.items()}
-    for key, value in (overrides or {}).items():
-        if key not in DEFAULT_CONFIG:
-            raise InputError(f"unknown kitchen config key: {key}")
-        if isinstance(value, dict) and isinstance(config[key], dict):
-            config[key].update(value)
-        else:
-            config[key] = value
-    return config
+    """DEFAULT_CONFIG with the overrides applied; tables take new keys."""
+    overrides = check_shape(overrides or {}, KITCHEN_SHAPE["config?"],
+                            "kitchen config")
+    return {k: {**v, **overrides.get(k, {})} if isinstance(v, dict)
+            else overrides.get(k, v) for k, v in DEFAULT_CONFIG.items()}
 
 
 def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
@@ -266,13 +263,8 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
     one, the bundled kitchen."""
     if spec is None:
         return load_kitchen(Path(__file__).parent / "data" / "kitchen.json")
-    loc_spec = spec.get("locations", {})
-    if not isinstance(loc_spec, dict):
-        raise InputError("kitchen 'locations' must be an object")
-    for name in loc_spec:
-        if name not in LOCATIONS:
-            raise InputError(f"unknown location in kitchen spec: {name}")
-
+    loc_spec = check_shape(spec, KITCHEN_SHAPE, "kitchen file").get(
+        "locations", {})
     entities: dict[int, KitchenEntity] = {}
     locations = []
     serial = 1
@@ -284,31 +276,25 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
     for name, loc_serial in locations:
         placed = []
         for entry in loc_spec.get(name, []):
-            kind = entry.get("kind")
-            if not kind:
-                raise InputError(f"kitchen entry without kind in {name}")
+            kind = entry["kind"]
             props = tuple(sorted(
-                (k, Fraction(v) if isinstance(v, (int, float)) else str(v))
-                for k, v in entry.get("properties", {}).items()
-            ))
+                (k, v if isinstance(v, str) else Fraction(v))
+                for k, v in entry.get("properties", {}).items()))
             if "grams" in entry:
                 grams = Fraction(entry["grams"])
                 if grams <= 0:
                     raise InputError(f"non-positive amount for {kind}: {grams}")
-                entities[serial] = KitchenEntity(
-                    serial, kind, composition=((kind, grams),), properties=props)
-                placed.append(serial)
-                serial += 1
+                made = [{"composition": ((kind, grams),)}]
             else:
-                count = int(entry.get("count", 1))
+                count = entry.get("count", 1)
                 if count <= 0:
                     raise InputError(f"non-positive count for {kind}: {count}")
-                for _ in range(count):
-                    entities[serial] = KitchenEntity(
-                        serial, kind, container=bool(entry.get("container")),
-                        properties=props)
-                    placed.append(serial)
-                    serial += 1
+                made = [{"container": entry.get("container", False)}] * count
+            for fields in made:
+                entities[serial] = KitchenEntity(serial, kind, properties=props,
+                                                 **fields)
+                placed.append(serial)
+                serial += 1
         entities[loc_serial] = entities[loc_serial].with_contents(placed)
 
     ks = KitchenState("ks-0", Fraction(0), tuple(locations), entities, serial, 0)
@@ -316,10 +302,7 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
 
 
 def load_kitchen(path: Path | str) -> tuple[KitchenState, dict]:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise InputError("kitchen spec must be a JSON object")
-    return initial_kitchen(data)
+    return initial_kitchen(read_json(path, "kitchen file"))
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +362,11 @@ def _minutes(value, what: str) -> Fraction:
 class KitchenSimulator:
     """Mental-simulation engine: applies primitives to kitchen states."""
 
-    def __init__(self, ontology=None, config: Optional[dict] = None):
+    def __init__(self, ontology, config: Optional[dict] = None):
         self.ontology = ontology
         self.config = _merge_config(config)
 
     # -- lookups -------------------------------------------------------------
-
-    def _kind_matches(self, kind: str, concept: str) -> bool:
-        if kind == concept:
-            return True
-        return self.ontology is not None and self.ontology.is_a(kind, concept)
 
     def _find_stock(self, ks: KitchenState, concept: str,
                     grams: Fraction) -> KitchenEntity:
@@ -396,7 +374,7 @@ class KitchenSimulator:
         for loc in STORAGE_ORDER:
             root = ks.location(loc)
             for e in sorted(ks.food_leaves(root), key=lambda e: e.serial):
-                if self._kind_matches(e.kind, concept):
+                if self.ontology.is_kind(e.kind, concept):
                     if e.grams >= grams:
                         return e
                     short = short or e
@@ -412,7 +390,7 @@ class KitchenSimulator:
         drawer = ks.location("tool-drawer")
         for s in drawer.contents:
             e = ks.entities[s]
-            if not self._kind_matches(e.kind, concept):
+            if not self.ontology.is_kind(e.kind, concept):
                 continue
             if container is not None and e.container != container:
                 continue
@@ -450,11 +428,8 @@ class KitchenSimulator:
         return foods
 
     def _mixture_kind(self, composition) -> str:
-        if self.ontology is not None:
-            for concept, _ in composition:
-                if self.ontology.is_a(concept, "flour"):
-                    return "dough"
-        return "mixture"
+        return ("dough" if any(self.ontology.is_a(concept, "flour")
+                               for concept, _ in composition) else "mixture")
 
     def _slot(self, slots: dict, role: str, primitive: str):
         if role not in slots:
@@ -578,7 +553,7 @@ class KitchenSimulator:
             return
         for loc in ("tool-drawer", "counter-top"):
             for s in b.ks.location(loc).contents:
-                if self._kind_matches(b.ks.entities[s].kind, tool.name):
+                if self.ontology.is_kind(b.ks.entities[s].kind, tool.name):
                     return
         raise SimulationError("missing-entity", f"no {tool.name} available")
 
@@ -720,9 +695,8 @@ class KitchenSimulator:
             e = b.get(f.serial)
             e = e.with_prop("baked", "burned" if burned else "baked")
             e = e.with_prop("temperature", Fraction(temp))
-            baked_form = None
-            if self.ontology is not None and self.ontology.knows(e.kind):
-                baked_form = self.ontology.feature(e.kind, "baked-form")
+            baked_form = (self.ontology.feature(e.kind, "baked-form")
+                          if self.ontology.knows(e.kind) else None)
             if baked_form:
                 e = e.with_kind(str(baked_form))
             b.put(e)
@@ -735,12 +709,11 @@ class KitchenSimulator:
             hi = duration.get("max")
             if isinstance(hi, Num):
                 return normalize_num(hi)[1]
-        if self.ontology is not None:
-            for f in self._target_leaves(ks, target):
-                if self.ontology.knows(f.kind):
-                    limit = self.ontology.feature(f.kind, "max-bake-minutes")
-                    if limit is not None:
-                        return Fraction(limit)
+        for f in self._target_leaves(ks, target):
+            if self.ontology.knows(f.kind):
+                limit = self.ontology.feature(f.kind, "max-bake-minutes")
+                if limit is not None:
+                    return Fraction(limit)
         return None
 
     def _cool_until(self, b, slots):
@@ -763,7 +736,7 @@ class KitchenSimulator:
             counter = b.ks.location("counter-top")
             topping = None
             for e in sorted(b.ks.food_leaves(counter), key=lambda e: e.serial):
-                if self._kind_matches(e.kind, topping_ref.name):
+                if self.ontology.is_kind(e.kind, topping_ref.name):
                     topping = e
                     break
             if topping is None:
@@ -812,7 +785,7 @@ class KitchenSimulator:
         total = Fraction(0)
         for serial in serials_in(values["resultant"]):
             for c, g in ks.need(serial).composition:
-                if self._kind_matches(c, concept.name):
+                if self.ontology.is_kind(c, concept.name):
                     total += g
         return (abs(total - stated),
                 f"found {total} g of {concept.name}, recipe says {stated} g")

@@ -10,7 +10,6 @@ recent type-compatible entity wins, and ambiguity is not an error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -18,8 +17,13 @@ from typing import Iterable, Optional
 
 from .errors import InputError, UnknownConceptError
 from .features import FAILURE, FALSE, TRUE, Num, ProcRegistry, Struct, Sym, Text
+from .serialize import NUMBER, check_shape, read_json
 
 KITCHEN_STATE_CONCEPT = "kitchen-state"
+
+#: The shape of an ontology file (see `serialize.check_shape`).
+ONTOLOGY_SHAPE = {"concepts": {"*": {
+    "is-a?": [str], "features?": {"*": (str, bool, *NUMBER)}}}}
 
 
 # ---------------------------------------------------------------------------
@@ -33,19 +37,8 @@ class Ontology:
         self._parents: dict[str, tuple[str, ...]] = {}
         self._features: dict[str, dict] = {}
         for name, entry in concepts.items():
-            if not isinstance(entry, dict):
-                raise InputError(f"concept {name} must be an object")
-            parents = entry.get("is-a", [])
-            if not isinstance(parents, list) \
-                    or not all(isinstance(p, str) for p in parents):
-                raise InputError(f"concept {name}: 'is-a' must be a list of "
-                                 f"concept names")
-            features = entry.get("features", {})
-            if not isinstance(features, dict):
-                raise InputError(
-                    f"concept {name}: 'features' must be an object")
-            self._parents[name] = tuple(parents)
-            self._features[name] = dict(features)
+            self._parents[name] = tuple(entry.get("is-a", []))
+            self._features[name] = dict(entry.get("features", {}))
         for name, parents in self._parents.items():
             for p in parents:
                 if p not in self._parents:
@@ -70,10 +63,9 @@ class Ontology:
 
     @staticmethod
     def load(path: Path | str) -> "Ontology":
-        data = json.loads(Path(path).read_text())
-        if "concepts" not in data or not isinstance(data["concepts"], dict):
-            raise InputError("ontology file must contain a 'concepts' map")
-        return Ontology(data["concepts"])
+        data = read_json(path, "ontology file")
+        return Ontology(check_shape(data, ONTOLOGY_SHAPE,
+                                    "ontology file")["concepts"])
 
     def knows(self, concept: str) -> bool:
         return concept in self._parents
@@ -96,6 +88,10 @@ class Ontology:
             seen.add(c)
             frontier.extend(self._parents[c])
         return False
+
+    def is_kind(self, kind: str, concept: str) -> bool:
+        """True when kind is concept or an ontology concept below it."""
+        return kind == concept or self.is_a(kind, concept)
 
     def lookup(self, concept: str) -> dict:
         """Merged feature map: ancestors first, the concept's own entries last."""
@@ -121,11 +117,9 @@ class Ontology:
 def _json_to_fv(value):
     if isinstance(value, bool):
         return TRUE if value else FALSE
-    if isinstance(value, (int, float)):
-        return Num(Fraction(value))
     if isinstance(value, str):
         return Sym(value)
-    raise InputError(f"unsupported ontology feature value: {value!r}")
+    return Num(Fraction(value))
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,15 @@
 from __future__ import annotations
 
 import itertools
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from .errors import InputError, SizeExceededError
 from .features import Num, Struct, Sym, Text, ValueSet, Var, vars_of
 from .kitchen import KitchenState
 from .plans import PlanNetwork, input_slots
+from .serialize import NUMBER, check_shape, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +244,15 @@ def smatch_plans(plan_a: PlanNetwork, plan_b: PlanNetwork,
 # ---------------------------------------------------------------------------
 # Goal-condition success
 
-#: goal predicate -> the fields a goal of that predicate must carry
-GOAL_PREDICATES = {
-    "entity-count-of-kind": ("kind", "count"),
-    "property-equals": ("kind", "property", "value"),
-    "located-at": ("kind", "location"),
-    "amount-within": ("kind", "grams"),
-}
-
-
-#: Per goal field, the JSON types it may take (a boolean is no number, nor
-#: is Infinity or NaN) and their name in an error.
-_GOAL_FIELD_TYPES = {
-    "kind": ((str,), "a string"),
-    "property": ((str,), "a string"),
-    "location": ((str,), "a string"),
-    "count": ((int,), "an integer"),
-    "grams": ((int, float), "a number"),
-    "tolerance": ((int, float), "a number"),
-    "value": ((str, int, float), "a string or a number"),
+#: goal predicate -> the shape of a goal of that predicate in a goals file
+#: (see `serialize.check_shape`)
+GOAL_SHAPES = {
+    "entity-count-of-kind": {"predicate": str, "kind": str, "count": int},
+    "property-equals": {"predicate": str, "kind": str, "property": str,
+                        "value": (str, *NUMBER)},
+    "located-at": {"predicate": str, "kind": str, "location": str},
+    "amount-within": {"predicate": str, "kind": str, "grams": NUMBER,
+                      "tolerance?": NUMBER},
 }
 
 
@@ -285,33 +273,23 @@ def _goal_holds(goal: dict, state: KitchenState, ontology) -> bool:
         want = goal["location"]
         for e in found:
             node = state.parent_of(e.serial)
-            ok = False
-            while node is not None:
-                if node.kind == want or (
-                        ontology is not None and ontology.is_a(node.kind, want)):
-                    ok = True
-                    break
+            while node is not None and not ontology.is_kind(node.kind, want):
                 node = state.parent_of(node.serial)
-            if not ok:
+            if node is None:
                 return False
         return True
     if predicate == "amount-within":
         want = Fraction(goal["grams"])
         tolerance = Fraction(goal.get("tolerance", 0))
-        total = Fraction(0)
-        for e in state.entities.values():
-            for concept, grams in e.composition:
-                if concept == goal["kind"] or (
-                        ontology is not None
-                        and ontology.is_a(concept, goal["kind"])):
-                    total += grams
+        total = sum((grams for e in state.entities.values()
+                     for concept, grams in e.composition
+                     if ontology.is_kind(concept, goal["kind"])), Fraction(0))
         return abs(total - want) <= tolerance
     raise InputError(f"unknown goal predicate: {predicate!r}; "
-                     f"expected one of {tuple(GOAL_PREDICATES)}")
+                     f"expected one of {tuple(GOAL_SHAPES)}")
 
 
-def goal_condition_success(state: KitchenState, goals: list,
-                           ontology=None) -> tuple:
+def goal_condition_success(state: KitchenState, goals: list, ontology) -> tuple:
     """(fraction satisfied, per-goal booleans); empty goal lists are an error."""
     if not goals:
         raise InputError("goal-condition success over an empty goal list")
@@ -320,32 +298,20 @@ def goal_condition_success(state: KitchenState, goals: list,
 
 
 def load_goals(path) -> list:
-    """The goals of a goal file; InputError unless each is an object with a
-    known predicate and that predicate's fields."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"goals file is not valid JSON: {exc}")
+    """The goals of a goal file, a list or {"goals": [...]}; InputError
+    unless each goal fits the shape of its predicate."""
+    data = read_json(path, "goals file")
     if isinstance(data, dict):
-        data = data.get("goals")
+        data = check_shape(data, {"goals": list}, "goals file")["goals"]
     if not isinstance(data, list):
         raise InputError("goals file must hold a list (or {'goals': [...]})")
     for i, goal in enumerate(data):
         predicate = goal.get("predicate") if isinstance(goal, dict) else None
-        if not isinstance(predicate, str) or predicate not in GOAL_PREDICATES:
+        if not isinstance(predicate, str) or predicate not in GOAL_SHAPES:
             raise InputError(f"goal {i} must be an object whose 'predicate' "
-                             f"is one of {tuple(GOAL_PREDICATES)}")
-        missing = [f for f in GOAL_PREDICATES[predicate] if f not in goal]
-        if missing:
-            raise InputError(f"goal {i} ({predicate}) lacks {missing}")
-        for fname, value in goal.items():
-            if fname not in _GOAL_FIELD_TYPES:
-                continue
-            types, what = _GOAL_FIELD_TYPES[fname]
-            if isinstance(value, bool) or not isinstance(value, types) \
-                    or isinstance(value, float) and not math.isfinite(value):
-                raise InputError(f"goal {i} ({predicate}): '{fname}' must be "
-                                 f"{what}, got {value!r}")
+                             f"is one of {tuple(GOAL_SHAPES)}")
+        check_shape(goal, GOAL_SHAPES[predicate],
+                    f"goals file: goal {i} ({predicate})")
     return data
 
 
@@ -354,14 +320,15 @@ def load_goals(path) -> list:
 
 _DISH_PROPERTIES = ("shape", "baked", "dusted-with")
 
+#: The share of the reference mass within which an ingredient matches.
+DISH_MASS_BAND = Fraction(1, 10)
+
 
 def _dish_leaves(state: KitchenState, ontology) -> list:
     """The served food: leaves on a plate, else every loose food leaf."""
-    on_plates = []
-    for e in state.entities.values():
-        if e.kind == "plate" or (ontology is not None
-                                 and ontology.is_a(e.kind, "plate")):
-            on_plates.extend(state.food_leaves(e))
+    on_plates = [leaf for e in state.entities.values()
+                 if ontology.is_kind(e.kind, "plate")
+                 for leaf in state.food_leaves(e)]
     if on_plates:
         return on_plates
     leaves = []
@@ -385,12 +352,11 @@ def _dish_profile(state: KitchenState, ontology) -> tuple:
 
 
 def dish_approximation_score(predicted: KitchenState, reference: KitchenState,
-                             ontology=None, band: Fraction = Fraction(1, 10),
-                             ) -> tuple:
+                             ontology) -> tuple:
     """(score, detail): harmonic mean of ingredient F1 and property agreement.
 
     An ingredient counts as matched when both dishes contain it and the
-    predicted mass lies within +-band of the reference mass.
+    predicted mass lies within +-DISH_MASS_BAND of the reference mass.
     """
     comp_p, props_p = _dish_profile(predicted, ontology)
     comp_r, props_r = _dish_profile(reference, ontology)
@@ -400,7 +366,7 @@ def dish_approximation_score(predicted: KitchenState, reference: KitchenState,
         grams_p = comp_p.get(concept)
         if grams_p is None:
             continue
-        if abs(grams_p - grams_r) <= band * grams_r:
+        if abs(grams_p - grams_r) <= DISH_MASS_BAND * grams_r:
             matched += 1
     precision = Fraction(matched, len(comp_p)) if comp_p else Fraction(0)
     recall = Fraction(matched, len(comp_r)) if comp_r else Fraction(0)

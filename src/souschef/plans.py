@@ -38,7 +38,7 @@ from .kitchen import (
 )
 from .memory import PlotNode, resolve_entity
 from .narrative import SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION
-from .serialize import fv_from_json, fv_to_json
+from .serialize import check_shape, fv_from_json, fv_to_json, read_json
 
 # ---------------------------------------------------------------------------
 # Calls, fragments, networks
@@ -226,7 +226,7 @@ def _slot_default(call: PlanCall, spec, role: str, ontology):
     the spec's `Default` for the role names, read on the primitive's own
     concept or on the concept its `of` slot names."""
     default = spec.defaults.get(role)
-    if default is None or ontology is None:
+    if default is None:
         return None
     concept = Sym(call.primitive) if default.of is None else call.slot(default.of)
     if not isinstance(concept, Sym) or not ontology.knows(concept.name):
@@ -826,38 +826,36 @@ def plan_to_json(network: PlanNetwork) -> dict:
     return {"calls": calls, "provenance": provenance}
 
 
+#: The shape of a plan file; `_term_from_json` checks each slot term.
+PLAN_SHAPE = {"calls": [{"primitive": str, "slots?": dict}],
+              "provenance?": [int]}
+
+
 def plan_from_json(data: dict) -> PlanNetwork:
-    if not isinstance(data, dict) or not isinstance(data.get("calls"), list):
-        raise InputError("plan file must contain a 'calls' list")
+    check_shape(data, PLAN_SHAPE, "plan file")
     provenance = data.get("provenance", [])
-    if not isinstance(provenance, list):
-        raise InputError("plan 'provenance' must be a list")
     calls = []
     for i, entry in enumerate(data["calls"]):
-        if not isinstance(entry, dict) \
-                or not isinstance(entry.get("primitive"), str) \
-                or not isinstance(entry.get("slots", {}), dict):
-            raise InputError(f"plan call {i} must be an object with a "
-                             "'primitive' name and a 'slots' object")
-        slots = []
-        for role, term in entry.get("slots", {}).items():
-            slots.append((role, _term_from_json(term)))
+        try:
+            slots = tuple((role, _term_from_json(term))
+                          for role, term in entry.get("slots", {}).items())
+        except InputError as exc:
+            raise InputError(f"plan file: 'calls[{i}].slots': {exc}") from None
         prov = provenance[i] if i < len(provenance) else -1
-        calls.append(PlanCall(f"c{i}", entry["primitive"], tuple(slots), prov))
+        calls.append(PlanCall(f"c{i}", entry["primitive"], slots, prov))
     network = PlanNetwork(calls)
     network.validate()
     return network
 
 
 def _term_from_json(term) -> object:
-    if not isinstance(term, dict):
-        raise InputError(f"malformed slot term: {term!r}")
-    if "var" in term:
-        return Var(term["var"])
-    if "const" in term:
-        return fv_from_json(term["const"])
-    if "terms" in term:
-        return ValueSet(_term_from_json(t) for t in term["terms"])
+    if isinstance(term, dict):
+        if "var" in term:
+            return fv_from_json(term)
+        if "const" in term:
+            return fv_from_json(term["const"])
+        if isinstance(term.get("terms"), list):
+            return ValueSet(_term_from_json(t) for t in term["terms"])
     raise InputError(f"malformed slot term: {term!r}")
 
 
@@ -867,8 +865,4 @@ def save_plan(network: PlanNetwork, path: Path | str) -> None:
 
 
 def load_plan(path: Path | str) -> PlanNetwork:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"plan file is not valid JSON: {exc}")
-    return plan_from_json(data)
+    return plan_from_json(read_json(path, "plan file"))

@@ -92,15 +92,22 @@ def test_execute_rejects_open_variable_inside_struct(tmp_path, capsys):
                    "message": "plan has open slots: c1.duration(?lo)"}
 
 
-@pytest.mark.parametrize("plan", [
-    {"calls": [{"slots": {}}]},
-    {"calls": [42]},
-    {"calls": 5},
-    {"calls": [{"primitive": "melt", "slots": []}]},
-    {"calls": [], "provenance": 3},
+@pytest.mark.parametrize("plan, field", [
+    ({"calls": [{"slots": {}}]}, "calls[0].primitive"),
+    ({"calls": [42]}, "calls[0]"),
+    ({"calls": 5}, "calls"),
+    ({"calls": [{"primitive": "melt", "slots": []}]}, "calls[0].slots"),
+    ({"calls": [], "provenance": 3}, "provenance"),
+    ({"calls": [{"primitive": "get-kitchen-state",
+                 "slots": {"kitchen-state-out": {"var": 5}}}]},
+     "{'var': 5}"),
+    ({"calls": [{"primitive": "set-timer/elapse",
+                 "slots": {"duration": {"const": {"num": "x"}}}}]},
+     "{'num': 'x'}"),
 ], ids=["no-primitive", "call-not-an-object", "calls-not-a-list",
-        "slots-not-an-object", "provenance-not-a-list"])
-def test_execute_rejects_malformed_plan_file(tmp_path, capsys, plan):
+        "slots-not-an-object", "provenance-not-a-list", "var-not-a-name",
+        "num-not-a-number"])
+def test_execute_rejects_malformed_plan_file(tmp_path, capsys, plan, field):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
     code = main(["execute", "--plan", str(path),
@@ -108,7 +115,9 @@ def test_execute_rejects_malformed_plan_file(tmp_path, capsys, plan):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert json.loads(err[0])["error"] == "input-error"
+    payload = json.loads(err[0])
+    assert payload["error"] == "input-error"
+    assert field in payload["message"]
 
 
 @pytest.mark.parametrize("goals, missing", [
@@ -126,9 +135,11 @@ def test_execute_rejects_malformed_plan_file(tmp_path, capsys, plan):
      ' "tolerance": Infinity}]', "'tolerance'"),
     ('[{"predicate": "entity-count-of-kind", "kind": 5, "count": 30}]',
      "'kind'"),
+    ('[{"predicate": "located-at", "kind": "cookie", "location": "plate",'
+     ' "colour": "red"}]', "'colour'"),
 ], ids=["no-kind", "no-location", "unknown-predicate", "goal-not-an-object",
         "not-json", "count-not-an-integer", "grams-not-a-number",
-        "tolerance-not-finite", "kind-not-a-string"])
+        "tolerance-not-finite", "kind-not-a-string", "unknown-field"])
 def test_evaluate_rejects_malformed_goal_file(tmp_path, capsys, goals,
                                               missing):
     path = tmp_path / "goals.json"
@@ -148,12 +159,20 @@ def test_evaluate_rejects_malformed_goal_file(tmp_path, capsys, goals,
     ("--kitchen", {"config": 5}, "config"),
     ("--ontology", {"concepts": {"butter": 5}}, "butter"),
     ("--ontology", {"concepts": {"butter": {"is-a": 5}}}, "is-a"),
+    ("--kitchen", {"locations": {"pantry": [5]}}, "locations.pantry[0]"),
+    ("--kitchen", {"locations": {"fridge": [{"kind": "butter", "gram": 500}]}},
+     "locations.fridge[0].gram"),
+    ("--kitchen", '{"locations": ', "kitchen file is not valid JSON"),
+    ("--ontology", "concepts", "ontology file is not valid JSON"),
+    ("--ontology", {"concepts": {"butter": {"features": {"melts": [1]}}}},
+     "concepts.butter.features.melts"),
 ], ids=["kitchen-locations", "kitchen-config", "ontology-concept",
-        "ontology-is-a"])
+        "ontology-is-a", "kitchen-entry", "kitchen-misspelt-key",
+        "kitchen-not-json", "ontology-not-json", "ontology-feature-value"])
 def test_malformed_world_file_is_an_input_error(tmp_path, capsys, flag,
                                                 world, field):
     path = tmp_path / "world.json"
-    path.write_text(json.dumps(world))
+    path.write_text(world if isinstance(world, str) else json.dumps(world))
     code = main(["understand", "--recipe", "almond-crescent-cookies", flag,
                  str(path), "--out-dir", str(tmp_path / "u")])
     assert code == 1
@@ -162,6 +181,28 @@ def test_malformed_world_file_is_an_input_error(tmp_path, capsys, flag,
     payload = json.loads(err[0])
     assert payload["error"] == "input-error"
     assert field in payload["message"]
+
+
+def test_malformed_file_message_does_not_depend_on_the_hash_seed(tmp_path):
+    # faults at several keys of one object: the message names the first in
+    # file order under any hash seed
+    src = Path(cli.__file__).resolve().parents[1]
+    kitchen = tmp_path / "kitchen.json"
+    kitchen.write_text(json.dumps({"locations": {
+        "pantry": [{"kind": "butter", "grams": "x", "count": "y"}],
+        "garage": [], "cellar": []}}))
+    messages = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-m", "souschef.cli",
+                              "understand", "--recipe", ALMOND_RECIPE,
+                              "--kitchen", str(kitchen),
+                              "--out-dir", str(tmp_path / seed)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        messages.append(run.stderr)
+    assert messages[0] == messages[1]
+    assert "locations.pantry[0].grams" in messages[0]
 
 
 def test_execute_needs_plan_or_recipe(tmp_path, capsys):
