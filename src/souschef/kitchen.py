@@ -8,7 +8,11 @@ fresh state and never touch their input.
 
 States are compared by a content hash that ignores entity serial numbers and
 the clock; two kitchens that look alike hash alike, which is what the
-confluence and replay tests rely on.
+confluence and replay tests rely on. Each state carries the subtree digest
+of every entity and the index of every entity's parent; the builder of a
+primitive application records the serials it touches and recomputes only
+their digests and their ancestors', so a call costs what it changes, not
+what the kitchen holds.
 
 Every fact about one primitive is declared once, in its `PrimitiveSpec`:
 its slots and which of them it computes, its handler, its agent minutes,
@@ -122,6 +126,8 @@ class KitchenState:
     entities: dict            # serial -> KitchenEntity; copy-on-write only
     next_serial: int
     seq: int
+    digests: dict             # serial -> subtree digest; copy-on-write only
+    parents: dict             # serial -> serial of its container; likewise
 
     def entity(self, serial: int) -> Optional[KitchenEntity]:
         return self.entities.get(serial)
@@ -136,10 +142,8 @@ class KitchenState:
         raise SimulationError("missing-entity", f"no location named {name}")
 
     def parent_of(self, serial: int) -> Optional[KitchenEntity]:
-        for e in self.entities.values():
-            if serial in e.contents:
-                return e
-        return None
+        parent = self.parents.get(serial)
+        return None if parent is None else self.entities[parent]
 
     def is_location(self, entity: KitchenEntity) -> bool:
         return any(entity.serial == s for _, s in self.locations)
@@ -183,29 +187,38 @@ def _need(entities: dict, serial) -> KitchenEntity:
 
 def content_hash(ks: KitchenState) -> str:
     """Digest of the entity tree, blind to serial numbers and the clock."""
+    parts = [f"{name}={ks.digests[serial]}" for name, serial in ks.locations]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
-    def entity_digest(e: KitchenEntity) -> str:
+
+def _digest(entities: dict, digests: dict, serial: int) -> str:
+    """The subtree digest of `serial`: read from `digests`, or computed into
+    it together with each missing digest below it."""
+    d = digests.get(serial)
+    if d is None:
+        e = entities[serial]
         comp = ",".join(f"{c}:{g}" for c, g in e.composition)
         props = ",".join(f"{k}={v}" for k, v in e.properties)
-        kids = sorted(entity_digest(ks.entities[s]) for s in e.contents
-                      if s in ks.entities)
+        kids = sorted(_digest(entities, digests, s) for s in e.contents
+                      if s in entities)
         payload = "|".join([e.kind, "c" if e.container else "f", comp, props]
                            + kids)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    parts = [f"{name}={entity_digest(ks.entities[serial])}"
-             for name, serial in ks.locations]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        d = digests[serial] = hashlib.sha256(payload.encode()).hexdigest()
+    return d
 
 
 class _Builder:
     """Scratch pad for one primitive application: edits its own copy of the
-    entity map and commits it to a fresh state."""
+    entity map and parent index, records the serials whose own fields or
+    contents it changes, and commits them to a fresh state. `put` must not
+    change an entity's contents; `create`, `move` and `drop` do that."""
 
     def __init__(self, ks: KitchenState, preheat_required: bool):
         self.ks = ks
         self.preheat_required = preheat_required  # a cold-oven bake fails
         self.entities = dict(ks.entities)
+        self.parents = dict(ks.parents)
+        self.touched: set[int] = set()
         self.next_serial = ks.next_serial
 
     def get(self, serial: int) -> KitchenEntity:
@@ -213,13 +226,14 @@ class _Builder:
 
     def put(self, e: KitchenEntity) -> None:
         self.entities[e.serial] = e
+        self.touched.add(e.serial)
 
     def create(self, kind: str, parent: int, container=False,
                composition=(), properties=()) -> KitchenEntity:
         e = KitchenEntity(self.next_serial, kind, container,
                           _norm_comp(composition), tuple(sorted(properties)))
         self.next_serial += 1
-        self.entities[e.serial] = e
+        self.put(e)
         self._attach(e.serial, parent)
         return e
 
@@ -229,21 +243,39 @@ class _Builder:
 
     def drop(self, serial: int) -> None:
         self._detach(serial)
-        del self.entities[serial]
+        for child in self.entities.pop(serial).contents:
+            del self.parents[child]  # it stays, in no container
+        self.touched.add(serial)
 
     def _attach(self, serial: int, parent: int) -> None:
         p = self.entities[parent]
         self.entities[parent] = p.with_contents(p.contents + (serial,))
+        self.parents[serial] = parent
+        self.touched.add(parent)
 
     def _detach(self, serial: int) -> None:
-        for s, e in self.entities.items():  # replaces values, adds no key
-            if serial in e.contents:
-                self.entities[s] = e.with_contents(
-                    c for c in e.contents if c != serial)
+        parent = self.parents.pop(serial, None)
+        if parent is not None:
+            p = self.entities[parent]
+            self.entities[parent] = p.with_contents(
+                c for c in p.contents if c != serial)
+            self.touched.add(parent)
 
     def commit(self, clock: Fraction) -> KitchenState:
+        # a touched entity's digest is stale, and so is every ancestor's
+        stale = set()
+        for serial in self.touched:
+            while serial is not None and serial not in stale:
+                stale.add(serial)
+                serial = self.parents.get(serial)
+        digests = dict(self.ks.digests)
+        for serial in stale:
+            digests.pop(serial, None)
+        for serial in stale & self.entities.keys():
+            _digest(self.entities, digests, serial)
         return KitchenState(f"ks-{self.ks.seq + 1}", clock, self.ks.locations,
-                            self.entities, self.next_serial, self.ks.seq + 1)
+                            self.entities, self.next_serial, self.ks.seq + 1,
+                            digests, self.parents)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +329,12 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
                 serial += 1
         entities[loc_serial] = entities[loc_serial].with_contents(placed)
 
-    ks = KitchenState("ks-0", Fraction(0), tuple(locations), entities, serial, 0)
+    parents = {c: s for s, e in entities.items() for c in e.contents}
+    digests: dict[int, str] = {}
+    for s in entities:
+        _digest(entities, digests, s)
+    ks = KitchenState("ks-0", Fraction(0), tuple(locations), entities, serial, 0,
+                      digests, parents)
     return ks, _merge_config(spec.get("config"))
 
 

@@ -23,7 +23,10 @@ KITCHEN_STATE_CONCEPT = "kitchen-state"
 
 #: The shape of an ontology file (see `serialize.check_shape`).
 ONTOLOGY_SHAPE = {"concepts": {"*": {
-    "is-a?": [str], "features?": {"*": (str, bool, *NUMBER)}}}}
+    "is-a?": [str], "features?": {
+        # the simulator reads these two as a number and a kind
+        "max-bake-minutes?": NUMBER, "baked-form?": str,
+        "*": (str, bool, *NUMBER)}}}}
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +72,6 @@ class Ontology:
 
     def knows(self, concept: str) -> bool:
         return concept in self._parents
-
-    def concepts(self) -> list[str]:
-        return sorted(self._parents)
 
     def is_a(self, concept: str, ancestor: str) -> bool:
         """True when concept reaches ancestor through is-a links (reflexive)."""

@@ -166,9 +166,14 @@ def test_evaluate_rejects_malformed_goal_file(tmp_path, capsys, goals,
     ("--ontology", "concepts", "ontology file is not valid JSON"),
     ("--ontology", {"concepts": {"butter": {"features": {"melts": [1]}}}},
      "concepts.butter.features.melts"),
+    ("--ontology", {"concepts": {"dough": {"features": {
+        "max-bake-minutes": "x"}}}},
+     "ontology file: 'concepts.dough.features.max-bake-minutes' must be a "
+     "number, got 'x'"),
 ], ids=["kitchen-locations", "kitchen-config", "ontology-concept",
         "ontology-is-a", "kitchen-entry", "kitchen-misspelt-key",
-        "kitchen-not-json", "ontology-not-json", "ontology-feature-value"])
+        "kitchen-not-json", "ontology-not-json", "ontology-feature-value",
+        "ontology-bake-limit"])
 def test_malformed_world_file_is_an_input_error(tmp_path, capsys, flag,
                                                 world, field):
     path = tmp_path / "world.json"

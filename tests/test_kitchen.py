@@ -1,15 +1,22 @@
 """Kitchen simulator: entity tree, primitive semantics, conservation."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from souschef import (
     PRIMITIVES, InputError, KitchenSimulator, SimulationError,
-    StructuralError, content_hash, initial_kitchen,
+    StructuralError, content_hash, execute_plan, initial_kitchen, load_plan,
 )
 import souschef.kitchen as kitchen_module
 from souschef.features import Num, Struct, Sym
+
+from conftest import DATA, fresh_kitchen
+
+GOLD_SEEDS = (None, 1, 2, 3, 7)
 
 
 @pytest.fixture()
@@ -363,3 +370,104 @@ def test_durations_come_from_spec_or_slots(sim):
     assert sim.duration_of("cool-until", {}) == Fraction(5)
     with pytest.raises(SimulationError):
         sim.duration_of("bake", {})
+
+
+# ---------------------------------------------------------------------------
+# Subtree digests and the parent index
+
+
+class _RecordingSimulator(KitchenSimulator):
+    """Keeps every state its applications commit."""
+
+    def __init__(self, ontology, config):
+        super().__init__(ontology, config)
+        self.states = []
+
+    def apply(self, *args, **kwargs):
+        result = super().apply(*args, **kwargs)
+        self.states.append(result.state)
+        return result
+
+
+@pytest.fixture(scope="module")
+def gold_runs(ontology, gold_names):
+    """(name, seed) -> (outcome, every state the run passed through)."""
+    runs = {}
+    for name in gold_names:
+        network = load_plan(DATA / "gold" / f"{name}.plan.json")
+        for seed in GOLD_SEEDS:
+            ks, config = fresh_kitchen()
+            sim = _RecordingSimulator(ontology, config)
+            outcome = execute_plan(network, ks, sim, seed=seed)
+            runs[name, seed] = outcome, [ks] + sim.states
+    return runs
+
+
+def _reference_digest(ks, serial) -> str:
+    """The subtree digest recomputed from the entity tree alone."""
+    e = ks.entities[serial]
+    comp = ",".join(f"{c}:{g}" for c, g in e.composition)
+    props = ",".join(f"{k}={v}" for k, v in e.properties)
+    kids = sorted(_reference_digest(ks, s) for s in e.contents
+                  if s in ks.entities)
+    payload = "|".join([e.kind, "c" if e.container else "f", comp, props]
+                       + kids)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _assert_maps_match_rebuild(ks):
+    # equal maps also mean no digest survives for a dropped entity
+    assert ks.digests == {s: _reference_digest(ks, s) for s in ks.entities}
+    assert ks.parents == {c: s for s, e in ks.entities.items()
+                          for c in e.contents}
+
+
+def test_gold_plan_hashes_are_unchanged(gold_runs):
+    # tests/data/gold_hashes.json pins the final hash and every trace hash
+    # of the gold plans; the digest format must not drift
+    expected = json.loads(
+        (Path(__file__).parent / "data" / "gold_hashes.json").read_text())
+    got = {}
+    for (name, seed), (outcome, _) in gold_runs.items():
+        hashes = [h for r in outcome.trace.records
+                  for h in (r.hash_before, r.hash_after)]
+        got[f"{name} seed={seed}"] = {
+            "calls": len(outcome.trace.records),
+            "final": content_hash(outcome.state),
+            "trace-sha256": hashlib.sha256(
+                "\n".join(hashes).encode()).hexdigest(),
+        }
+    assert got == expected
+
+
+def test_incremental_maps_match_a_rebuild_on_gold_runs(gold_runs):
+    for _, states in gold_runs.values():
+        for ks in states:
+            _assert_maps_match_rebuild(ks)
+
+
+def test_incremental_maps_follow_moves_and_drops():
+    ks0, _ = initial_kitchen()
+    drawer = ks0.location("tool-drawer").serial
+    counter = ks0.location("counter-top").serial
+    b = kitchen_module._Builder(ks0, False)
+    bowl = b.create("medium-bowl", drawer, container=True).serial
+    butter = b.create("butter", bowl, composition=(("butter", 50),)).serial
+    ks1 = b.commit(Fraction(0))
+    b = kitchen_module._Builder(ks1, False)
+    b.move(bowl, counter)
+    ks2 = b.commit(Fraction(0))
+    b = kitchen_module._Builder(ks2, False)
+    b.drop(butter)
+    ks3 = b.commit(Fraction(0))
+    b = kitchen_module._Builder(ks2, False)
+    b.drop(bowl)  # what the bowl held stays, in no container
+    ks4 = b.commit(Fraction(0))
+    for ks in (ks0, ks1, ks2, ks3, ks4):
+        _assert_maps_match_rebuild(ks)
+    assert len({content_hash(ks) for ks in (ks0, ks1, ks2, ks3)}) == 4
+    # earlier states keep their own maps
+    assert ks1.parent_of(bowl).serial == drawer
+    assert ks2.parent_of(bowl).serial == counter
+    assert ks3.entity(bowl).contents == () and butter not in ks3.entities
+    assert bowl not in ks4.entities and ks4.parent_of(butter) is None

@@ -13,12 +13,13 @@ from souschef import (
     goal_condition_success, load_goals, load_grammar, load_kitchen, load_plan,
     load_recipe, run_recipe,
 )
-from conftest import ALMOND, DATA, fresh_kitchen
+from conftest import ALMOND, DATA, VANILLA, fresh_kitchen
 
 #: What a mutant puts in place of the node it replaces.
 VALUES = (5, "x", None, [], {}, [1], {"a": 1}, -1, 1.5, True)
 MUTANTS = 100
-#: Loaded kitchen and ontology mutants that also run the almond recipe.
+#: Loaded kitchen and ontology mutants that also run the almond recipe
+#: (ontology mutants also execute the vanilla gold plan).
 RUNS = 10
 
 
@@ -66,7 +67,7 @@ def almond():
     return load_recipe(DATA / "recipes" / f"{ALMOND}.txt")
 
 
-def _fuzz(tmp_path, name, load, run, limit=MUTANTS):
+def _fuzz(tmp_path, name, load, *runs, limit=MUTANTS):
     data = json.loads((DATA / name).read_text())
     file = tmp_path / "mutant.json"
     loaded = ran = 0
@@ -78,7 +79,8 @@ def _fuzz(tmp_path, name, load, run, limit=MUTANTS):
             loaded += 1
             if ran < limit:
                 ran += 1
-                _attempt(where, run, result)
+                for run in runs:
+                    _attempt(where, run, result)
     # the fuzz says nothing unless some mutants load and some do not
     assert 0 < loaded < MUTANTS and ran > 0
 
@@ -90,11 +92,19 @@ def test_kitchen_mutants(tmp_path, almond, grammar, ontology):
 
 
 def test_ontology_mutants(tmp_path, almond):
-    def run(ontology):
+    def understand(ontology):
         grammar = load_grammar(DATA / "grammar.cxn", ontology)
         run_recipe(almond, grammar, ontology, *fresh_kitchen())
 
-    _fuzz(tmp_path, "ontology.json", Ontology.load, run, limit=RUNS)
+    # vanilla's bake reads the `max-bake-minutes` feature; almond's never does
+    vanilla = load_plan(DATA / "gold" / f"{VANILLA}.plan.json")
+
+    def execute(ontology):
+        ks, config = fresh_kitchen()
+        execute_plan(vanilla, ks, KitchenSimulator(ontology, config))
+
+    _fuzz(tmp_path, "ontology.json", Ontology.load, understand, execute,
+          limit=RUNS)
 
 
 def test_plan_mutants(tmp_path, ontology):
