@@ -35,12 +35,9 @@ many search states share it:
 * ``Unit.form_pool`` holds a root unit's form facts with their positions by
   ``(name, arity)`` and by ``(name, arity, position, literal)``; ``match``
   unifies pattern form facts against it. It depends on the unit alone.
-* ``Unit.first_matches`` holds, per first pattern unit of a conditional
-  pole, what ``_match_unit`` returned for this unit; a token unit's entry
-  sits on the root, the only unit it binds through. An entry is valid only
-  while the form pool and the procedure registry it was computed with are
-  the same objects, as they are within a search; the check guards direct
-  ``match`` callers.
+* ``Unit.feature_names`` is the set of its feature names, so ``match``
+  and ``grammar.apply_construction`` test which pattern units a unit can
+  stand for with one subset test.
 """
 
 from __future__ import annotations
@@ -449,10 +446,8 @@ class Unit:
         return facts, index
 
     @cached_property
-    def first_matches(self) -> dict:
-        """id(first pattern unit) -> (pattern unit, pool, procs, legs);
-        see ``_first_unit_legs``."""
-        return {}
+    def feature_names(self) -> frozenset:
+        return frozenset(k for k, _ in self.features)
 
 
 @dataclass(frozen=True)
@@ -713,11 +708,9 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
         names = [k for k, _ in pu.features]
         if len(names) != len(set(names)):
             raise StructuralError(f"duplicate feature in pattern unit {pu.name!r}")
-        required.append([k for k in names
-                         if k not in (FORM_FEATURE, GUARD_FEATURE)])
+        required.append(frozenset(names) - {FORM_FEATURE, GUARD_FEATURE})
 
-    root = ts.root
-    pool = root.form_pool
+    pool = ts.root.form_pool
 
     results: dict[tuple[Bindings, frozenset], None] = {}  # insertion-ordered
 
@@ -740,19 +733,14 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
             candidates = [u for u in ts.units if u.name not in used]
 
         for unit in candidates:
-            if unit is not None \
-                    and any(unit.get(k) is None for k in required[idx]):
+            if unit is not None and not required[idx] <= unit.feature_names:
                 continue  # _match_unit would find no value to unify
-            if idx == 0:
-                legs = _first_unit_legs(pu, unit, root, pool, procs)
-            else:
-                env = bindings
-                if unit is not None and isinstance(name, Var):
-                    env = env.bind(name.name, Sym(unit.name))
-                    if env is None:
-                        continue
-                legs = _match_unit(pu, unit, pool, env, touched, procs)
-            for env2, tch in legs:
+            env = bindings
+            if unit is not None and isinstance(name, Var):
+                env = env.bind(name.name, Sym(unit.name))
+                if env is None:
+                    continue
+            for env2, tch in _match_unit(pu, unit, pool, env, touched, procs):
                 if unit is not None:
                     attempt(idx + 1, env2, used | {unit.name}, tch)
                 elif not isinstance(env2.walk(name), Var):
@@ -815,28 +803,6 @@ def _check_guards(pattern_value, bindings, procs) -> list[Bindings]:
         if not envs:
             return []
     return envs
-
-
-def _first_unit_legs(pu: PatternUnit, unit: Optional[Unit], root: Unit,
-                     pool: tuple, procs) -> list[tuple[Bindings, frozenset]]:
-    """``_match_unit`` for the first pattern unit of a pole, memoized.
-
-    With no bindings yet and no tokens touched, the result depends only on
-    pu, unit, pool and procs. It is kept in ``unit.first_matches`` (in the
-    root's, for a token unit) and reused while pool and procs are the same
-    objects, so a unit shared by many states is matched once.
-    """
-    holder = unit if unit is not None else root
-    entry = holder.first_matches.get(id(pu))
-    if entry is not None and entry[0] is pu and entry[1] is pool \
-            and entry[2] is procs:
-        return entry[3]
-    env = Bindings()
-    if unit is not None and isinstance(pu.name, Var):
-        env = env.bind(pu.name.name, Sym(unit.name))
-    legs = _match_unit(pu, unit, pool, env, frozenset(), procs)
-    holder.first_matches[id(pu)] = (pu, pool, procs, legs)
-    return legs
 
 
 def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,

@@ -160,6 +160,17 @@ class Construction:
         the matches."""
         return all(_token_units(self.conditional))
 
+    @cached_property
+    def reads(self) -> tuple:
+        """(required, read): for each conditional unit that is not a token
+        unit, the features a unit must hold to stand for it; and all those
+        features, sorted. ``match`` reads no other feature of a unit."""
+        tokens = _token_units(self.conditional)
+        required = tuple(
+            frozenset(k for k, _ in pu.features) - {FORM_FEATURE, GUARD_FEATURE}
+            for pu, token in zip(self.conditional, tokens) if not token)
+        return required, tuple(sorted(frozenset().union(*required)))
+
 
 def _token_units(conditional: tuple) -> list:
     """Per conditional unit, whether it is a token unit: named by a variable
@@ -494,7 +505,7 @@ class ComprehensionResult:
 
 
 def apply_construction(cxn: Construction, ts: TransientStructure,
-                       procs: ProcRegistry) -> list:
+                       procs: ProcRegistry, memo: Optional[dict] = None) -> list:
     """Every transient structure one application of cxn can produce.
 
     Matching runs on the grammar's own conditional pole, on its own
@@ -503,15 +514,41 @@ def apply_construction(cxn: Construction, ts: TransientStructure,
     variables after its own ``applied`` entry (see ``_apply_match``), and
     ``merge`` names each new unit after its variable, so a state's names
     depend on which applications built it and not on their order.
+
+    With a ``memo``, one search's, each match and merge is done once per
+    distinct input (see ``Grammar.comprehend``).
     """
+    if memo is None:
+        matches = match(cxn.conditional, ts, procs=procs)
+    else:
+        matches = _memo_matches(cxn, ts, procs, memo)
     out = []
-    for mr in match(cxn.conditional, ts, procs=procs):
+    for mr in matches:
         if _instance_name(cxn, mr) in ts.applied:
             continue  # this exact application already happened
-        child = _apply_match(cxn, mr, ts, procs)
+        child = _apply_match(cxn, mr, ts, procs, memo)
         if child is not None:
             out.append(child)
     return out
+
+
+def _memo_matches(cxn: Construction, ts: TransientStructure,
+                  procs: ProcRegistry, memo: dict) -> list:
+    """``match(cxn.conditional, ts, procs)``, kept in memo under cxn's view
+    of ts (see ``Grammar.comprehend``)."""
+    required, read = cxn.reads
+    units = ts.units if not all(required) else tuple(
+        u for u in ts.units
+        if any(r <= u.feature_names for r in required))
+    key = [cxn.name]
+    for u in units:
+        key.append(u.name)
+        key += [id(u.get(f)) for f in read]
+    key = tuple(key)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (units, match(cxn.conditional, ts, procs=procs))
+    return entry[1]
 
 
 def _instance_name(cxn: Construction, mr: MatchResult) -> str:
@@ -524,7 +561,8 @@ def _instance_name(cxn: Construction, mr: MatchResult) -> str:
 
 
 def _apply_match(cxn: Construction, mr: MatchResult, ts: TransientStructure,
-                 procs: ProcRegistry) -> Optional[TransientStructure]:
+                 procs: ProcRegistry,
+                 memo: Optional[dict] = None) -> Optional[TransientStructure]:
     """The state one match of cxn makes of ts, or None when the merge fails.
 
     Each variable the match leaves unbound stands for a fresh one named
@@ -537,12 +575,51 @@ def _apply_match(cxn: Construction, mr: MatchResult, ts: TransientStructure,
     bindings = Bindings(dict(mr.bindings.items()) | {
         v: Var(f"{v}~{entry}") for v in cxn.variables
         if mr.bindings.lookup(v) is None})
-    try:
-        outcome = merge(cxn.contributing, ts, bindings, procs)
-    except MergeFailure:
-        return None
-    return TransientStructure(outcome.structure.units, ts.applied + (entry,),
+    if memo is None:
+        try:
+            units = merge(cxn.contributing, ts, bindings, procs).structure.units
+        except MergeFailure:
+            return None
+    else:
+        units = _memo_merge(cxn, mr, ts, bindings, procs, memo)
+        if units is None:
+            return None
+    return TransientStructure(units, ts.applied + (entry,),
                               ts.consumed | mr.touched_tokens)
+
+
+def _memo_merge(cxn: Construction, mr: MatchResult, ts: TransientStructure,
+                bindings: Bindings, procs: ProcRegistry,
+                memo: dict) -> Optional[tuple]:
+    """The units of ``merge(cxn.contributing, ts, bindings, procs)`` in its
+    order, or None when it fails; the units cxn writes are kept in memo
+    under the match and the units they replace (see ``Grammar.comprehend``).
+    """
+    names = []  # as merge names them, in the order it writes them
+    for pu in cxn.contributing:
+        name = bindings.walk(pu.name)
+        name = f"unit-{name.name}" if isinstance(name, Var) else name.name
+        if name not in names:
+            names.append(name)
+    old = tuple(ts.unit(n) for n in names)
+    # a token set second, where a match key has a unit name or nothing
+    key = [cxn.name, mr.touched_tokens, *map(id, old)]
+    for v, x in mr.bindings.items():
+        key += [v, x if isinstance(x, (Sym, Text, Var, Num)) else id(x)]
+    key = tuple(key)
+    entry = memo.get(key)
+    if entry is None:
+        try:
+            merged = merge(cxn.contributing, ts, bindings, procs).structure
+            made = tuple(merged.unit(n) for n in names)
+        except MergeFailure:
+            made = None
+        entry = memo[key] = (mr, old, made)
+    made = entry[2]
+    if made is None:
+        return None
+    new = dict(zip(names, made))
+    return tuple(new.pop(u.name, u) for u in ts.units) + tuple(new.values())
 
 
 #: Form facts whose last argument may be a text literal worth indexing.
@@ -647,6 +724,36 @@ class Grammar:
         key falls to ``content_key``. The search stops once it holds
         max_states states; the result is then ``truncated`` when a state
         was left unexpanded.
+
+        A child state differs from its parent by one merge, so the search
+        keeps one memo, dropped when it returns, and matches and merges
+        each distinct input once. The root, and with it every form fact,
+        stays fixed during the search, and so does the procedure registry.
+
+        * Matches are kept under the construction and its view of a state:
+          in state order, each unit that holds every feature some
+          conditional unit other than a token unit requires, with its name
+          and the objects it holds under the features the pole reads
+          (``Construction.reads``). ``match`` reads nothing else. It skips
+          a unit lacking a pattern unit's required features before reading
+          anything else of it; a token unit reads only the root; and a
+          unit a ``Sym`` names is either in the view or skipped, since a
+          ``Sym``-named unit is never a token unit.
+        * Merges are kept under the construction, the match, and the unit
+          objects the state holds under each name the contributing pole
+          writes, fresh ``unit-...`` names included (None where absent).
+          ``merge`` reads nothing else of the state, and the match fixes
+          the fresh variables. A bound ``Sym``, ``Text``, ``Var`` or
+          ``Num`` is keyed by value; any other bound value by identity,
+          since equal value sets and structs may order their members
+          differently, and that order reaches the merged units. The child
+          is built as ``merge`` builds it: each written unit in its place,
+          then the new ones in the order made.
+
+        Keys name objects by identity, and each entry keeps the objects it
+        names, so no id is reused while the memo lives. The memo changes no
+        result; sibling states then share their units, and with them each
+        unit's ``rendering``.
         """
         tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
         content = {t.token_id for t in tokens
@@ -658,6 +765,7 @@ class Grammar:
 
         states: dict[tuple, TransientStructure] = {}
         terminal: list[tuple] = []
+        memo: dict = {}  # see apply_construction
         k0 = ts0.content_key()
         states[k0] = ts0
         work = [k0]
@@ -666,7 +774,7 @@ class Grammar:
             ts = states[key]
             leaf = True
             for cxn in candidates:
-                for child in apply_construction(cxn, ts, self.procs):
+                for child in apply_construction(cxn, ts, self.procs, memo):
                     ck = child.content_key()
                     if ck == key:
                         continue

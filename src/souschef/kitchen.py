@@ -696,6 +696,10 @@ class KitchenSimulator:
         else:
             piece = b.get(_ids(liner)[0])
             liner_kind = piece.kind
+        if piece.container or piece.is_food:
+            # dropping it would orphan what it holds, or lose food
+            raise SimulationError("bad-slots",
+                                  "line-with liner is a container or food")
         b.drop(piece.serial)  # the liner becomes part of the lined container
         b.put(b.get(container.serial).with_prop("lined-with", liner_kind))
         return {"lined": Num(Fraction(container.serial))}, []

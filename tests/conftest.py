@@ -1,12 +1,14 @@
 """Shared fixtures: bundled data, cached recipe runs, fresh kitchens."""
 
+import importlib
+import random
 from pathlib import Path
 
 import pytest
 
 from souschef import (
-    KitchenSimulator, Ontology, execute_plan, load_grammar, load_kitchen,
-    load_plan, load_recipe, run_recipe,
+    CookingSession, KitchenSimulator, Ontology, execute_plan, load_grammar,
+    load_kitchen, load_plan, load_recipe, run_recipe,
 )
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "souschef" / "data"
@@ -18,6 +20,26 @@ VANILLA = "vanilla-butter-rounds"
 def fresh_kitchen():
     """A brand-new default kitchen (state, config)."""
     return load_kitchen(DATA / "kitchen.json")
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark, imported read-only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                               / "perfbench"))
+        return importlib.import_module(name)
+
+
+def primed(grammar, ontology, workloads, names, k, repeat) -> tuple:
+    """(session that has understood the probe discourse of names, its line
+    count, the k-conjunct "Add" sentence, the conjuncts' names)."""
+    lines, ((_, _, sentence, added),) = workloads.probe_round(
+        random.Random(k), names, ((k, repeat),))
+    ks, config = fresh_kitchen()
+    session = CookingSession(grammar, ontology, ks, config)
+    for i, line in enumerate(lines):
+        session.run_step(i, line)
+    return session, len(lines), sentence, added
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +55,11 @@ def ontology():
 @pytest.fixture(scope="session")
 def grammar(ontology):
     return load_grammar(DATA / "grammar.cxn", ontology)
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    return perfbench_module("workloads")
 
 
 @pytest.fixture()

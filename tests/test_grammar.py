@@ -21,7 +21,7 @@ from souschef.features import (
 from souschef.grammar import split_sentences
 from souschef.memory import make_registry
 from souschef.session import CookingSession
-from conftest import ALMOND, VANILLA, fresh_kitchen
+from conftest import ALMOND, VANILLA, fresh_kitchen, primed
 
 
 def test_tokenize_strips_punctuation_keeps_hyphens():
@@ -287,19 +287,33 @@ SEARCH_SENTENCES = [
 ]
 
 
-def _reached_states(grammar, sentence) -> list:
-    """Every state comprehend tries a construction on, in first-seen order."""
+def _search(grammar, sentence, accessible=()) -> tuple:
+    """(every state comprehend tries a construction on, in first-seen
+    order, the comprehension result)."""
     reached = {}
     apply = grammar_module.apply_construction
 
-    def recording(cxn, ts, procs):
+    def recording(cxn, ts, *rest):
         reached[id(ts)] = ts
-        return apply(cxn, ts, procs)
+        return apply(cxn, ts, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grammar_module, "apply_construction", recording)
-        assert grammar.comprehend(sentence).succeeded
-    return list(reached.values())
+        result = grammar.comprehend(sentence, accessible)
+    return list(reached.values()), result
+
+
+def _reached_states(grammar, sentence) -> list:
+    states, result = _search(grammar, sentence)
+    assert result.succeeded
+    return states
+
+
+def _search_trace(grammar, sentence, accessible=()) -> tuple:
+    """What a search did, in terms that do not depend on object identity."""
+    states, result = _search(grammar, sentence, accessible)
+    return ([ts.content_key() for ts in states], _winner(result),
+            result.structure.applied, result.succeeded, result.truncated)
 
 
 @pytest.mark.parametrize("sentence", SEARCH_SENTENCES)
@@ -539,7 +553,7 @@ def test_cached_match_equals_uncached_match(grammar, sentence):
 
 def test_cached_match_follows_root_form_changes():
     # the "balls" unit exists before the lemma fact that `ball-cat` needs
-    # reaches the root, so a first-unit match kept from that state is stale;
+    # reaches the root, so match work kept from that state is stale;
     # the search lemmatizes first and never builds that order, so it is
     # built here with direct applications
     grammar = Grammar(*parse_grammar("""
@@ -593,6 +607,59 @@ def test_almond_search_stays_within_match_budget(grammar, ontology,
     assert counts["match"] <= 540  # 470
     assert counts["unify"] <= 4750  # 4,130
     assert counts["apply_construction"] <= 407  # 354
+
+
+#: red-mark and blue-mark give one unit, under one name, different values
+#: of a feature that marked reads; marked writes only a new unit, whose
+#: name does not depend on that value
+MARKS = Grammar(*parse_grammar("""
+(cxn balls-noun :kind lexical :score 1/2
+  (conditional (?t (form (string ?t "balls"))))
+  (contributing (?t (lex-class noun))))
+(cxn red-mark :kind lexical :score 1/2
+  (conditional (?t (lex-class noun) (form (string ?t "balls"))))
+  (contributing (?t (mark red))))
+(cxn blue-mark :kind lexical :score 1/2
+  (conditional (?t (lex-class noun) (form (string ?t "balls"))))
+  (contributing (?t (mark blue))))
+(cxn marked :kind lexical :score 1/2
+  (conditional (?t (lex-class noun) (mark ?m)))
+  (contributing (?seen (mark ?m))))
+"""))
+
+
+def test_search_memo_changes_no_result(grammar, ontology, workloads,
+                                      monkeypatch):
+    # the search with its memo against the search that matches and merges
+    # afresh on every state, on the k = 3 probes too
+    names = ("white-sugar", "almond-flour", "wheat-flour")
+    cases = [(grammar, sentence, ()) for sentence in SEARCH_SENTENCES]
+    for repeat in (False, True):
+        session, _, sentence, _ = primed(grammar, ontology, workloads,
+                                         names, 3, repeat)
+        cases.append((grammar, sentence, session.pdm.current.accessible))
+    cases.append((MARKS, "balls", ()))
+    with_memo = [_search_trace(*case) for case in cases]
+    apply = grammar_module.apply_construction
+    monkeypatch.setattr(grammar_module, "apply_construction",
+                        lambda cxn, ts, procs, memo=None: apply(cxn, ts, procs))
+    assert [_search_trace(*case) for case in cases] == with_memo
+
+
+def test_search_memo_ends_with_its_call(ontology, data_dir):
+    # a sentence comprehends alike in a fresh grammar and after others, and
+    # nothing keeps the units of a search once its result is dropped
+    sentence = "Add the white sugar and the almond flour"
+    fresh = load_grammar(data_dir / "grammar.cxn", ontology)
+    first = _search_trace(fresh, sentence)
+    for other in SEARCH_SENTENCES + ["Add the almond flour and the white sugar"]:
+        fresh.comprehend(other)
+    assert _search_trace(fresh, sentence) == first
+    result = fresh.comprehend(sentence)
+    refs = [weakref.ref(u) for u in result.structure.units]
+    del result
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == []
 
 
 def test_comprehension_does_not_keep_the_grammar_alive(ontology, data_dir):

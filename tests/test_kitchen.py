@@ -283,6 +283,23 @@ def test_line_with_consumes_liner_and_tags_container(sim):
     assert papers_after == papers_before - 1
 
 
+def test_line_with_rejects_a_container_or_food_liner(sim):
+    # dropping a bowl that holds butter would leave the butter in no
+    # container, still counted by total_composition but not hashed
+    ks, _ = initial_kitchen()
+    ks, butter = _fetch(sim, ks, "butter", 100)
+    bowl = ks.parent_of(butter).serial
+    fetched = sim.apply("fetch-container", {"concept": Sym("baking-sheet")}, ks)
+    ks = fetched.state
+    sheet = fetched.outputs["fetched"]
+    for liner in (bowl, butter):
+        with pytest.raises(SimulationError) as err:
+            sim.apply("line-with", {"container": sheet,
+                                    "liner": Num(Fraction(liner))}, ks)
+        assert err.value.reason == "bad-slots"
+    assert ks.need(bowl).contents == (butter,)
+
+
 def test_sprinkle_moves_topping_mass_onto_targets(sim):
     ks, _ = initial_kitchen()
     ks, flour = _fetch(sim, ks, "wheat-flour", 34)

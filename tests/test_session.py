@@ -1,6 +1,5 @@
 """Recipe documents and the instruction-by-instruction understanding loop."""
 
-import importlib
 import json
 import random
 from fractions import Fraction
@@ -19,7 +18,7 @@ from souschef.narrative import (
     SOURCE_LANGUAGE, SOURCE_ONTOLOGY, SOURCE_PDM, SOURCE_SIMULATION,
 )
 from souschef.plans import plan_to_json, question_id
-from conftest import ALMOND, VANILLA, fresh_kitchen
+from conftest import ALMOND, VANILLA, fresh_kitchen, perfbench_module, primed
 
 
 SAMPLE = """\
@@ -250,22 +249,9 @@ def test_second_preheat_locates_the_oven_by_simulation(grammar, ontology,
     assert result.closed
 
 
-def _perfbench_module(name: str):
-    """A module of the benchmark, imported read-only."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(Path(__file__).resolve().parents[1]
-                               / "perfbench"))
-        return importlib.import_module(name)
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    return _perfbench_module("workloads")
-
-
 @pytest.fixture(scope="module")
 def recipegen():
-    return _perfbench_module("recipegen")
+    return perfbench_module("recipegen")
 
 
 @pytest.mark.parametrize("seed", [101, 7])
@@ -292,26 +278,14 @@ CONJUNCTS = [(1, False), (1, True), (2, False), (2, True), (3, False),
              (3, True), (4, False)]
 
 
-def _primed(grammar, ontology, workloads, names, k, repeat) -> tuple:
-    """(session that has understood the probe discourse of names, its line
-    count, the k-conjunct "Add" sentence, the conjuncts' names)."""
-    lines, ((_, _, sentence, added),) = workloads.probe_round(
-        random.Random(k), names, ((k, repeat),))
-    ks, config = fresh_kitchen()
-    session = CookingSession(grammar, ontology, ks, config)
-    for i, line in enumerate(lines):
-        session.run_step(i, line)
-    return session, len(lines), sentence, added
-
-
 @pytest.mark.parametrize("k, repeat", CONJUNCTS)
 def test_add_lists_every_conjunct_as_transfer_source(
         grammar, ontology, workloads, monkeypatch, k, repeat):
     # "Add the A and B ..." in a primed discourse: a nested group must not
     # leave its own variable in the source slot
     names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract")
-    session, n, sentence, added = _primed(grammar, ontology, workloads,
-                                          names, k, repeat)
+    session, n, sentence, added = primed(grammar, ontology, workloads,
+                                         names, k, repeat)
     results = []
     comprehend = grammar.comprehend
 
@@ -334,24 +308,42 @@ def test_add_lists_every_conjunct_as_transfer_source(
     assert grammar_module._count_dangling(result.structure) == 0
 
 
+def _three_conjunct_calls(grammar, ontology, workloads, monkeypatch, repeat,
+                         name) -> int:
+    """Calls of ``grammar.<name>`` while the session understands "Add the A
+    and B and C" (or "Add the A and the B and the C") in the bench's primed
+    discourse."""
+    names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract",
+             "almond-extract")
+    session, n, sentence, _ = primed(grammar, ontology, workloads,
+                                     names, 3, repeat)
+    calls = []
+    function = getattr(grammar_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(grammar_module, name, counted)
+    report = session.run_step(n, sentence)
+    assert not report.unresolved_tokens
+    return len(calls)
+
+
 @pytest.mark.parametrize("repeat, budget", [(False, 192), (True, 354)])
 def test_three_conjuncts_stay_within_search_budget(
         grammar, ontology, workloads, monkeypatch, repeat, budget):
-    # "Add the A and B and C" / "Add the A and the B and the C" in the
-    # bench's primed discourse: each budget is the apply_construction count
-    # measured when it was set, and may only tighten
-    names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract",
-             "almond-extract")
-    session, n, sentence, _ = _primed(grammar, ontology, workloads,
-                                      names, 3, repeat)
-    calls = []
-    apply = grammar_module.apply_construction
+    # each budget is the apply_construction count measured when it was set,
+    # and may only tighten
+    assert _three_conjunct_calls(grammar, ontology, workloads, monkeypatch,
+                                 repeat, "apply_construction") <= budget
 
-    def counted(*args):
-        calls.append(args[0].name)
-        return apply(*args)
 
-    monkeypatch.setattr(grammar_module, "apply_construction", counted)
-    report = session.run_step(n, sentence)
-    assert not report.unresolved_tokens
-    assert len(calls) <= budget
+@pytest.mark.parametrize("repeat, budget", [(False, 55), (True, 95)])
+def test_three_conjuncts_stay_within_match_budget(
+        grammar, ontology, workloads, monkeypatch, repeat, budget):
+    # the search matches a construction once per view of a state (see
+    # Grammar.comprehend); without that, 197 and 359 calls. Each budget is
+    # the match count measured when it was set, and may only tighten
+    assert _three_conjunct_calls(grammar, ontology, workloads, monkeypatch,
+                                 repeat, "match") <= budget
