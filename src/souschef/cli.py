@@ -18,6 +18,8 @@ Grammar, ontology, and kitchen files default to the bundled data so the
 commands work out of the box.  Exit codes: 0 on success with full question
 closure, 2 on an understanding failure (including unanswered questions),
 1 on bad input or I/O trouble.  Errors print one JSON object to stderr.
+A step whose comprehension stopped at the state cap is listed on the
+``truncated-steps`` summary line; it does not change the exit code.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ def _print_summary(result, out: Path) -> None:
     print(f"questions: raised {closure['raised']}, "
           f"answered {closure['answered']}, open {closure['open']}")
     print(f"closed: {'yes' if closure['closed'] else 'no'}")
+    truncated = [str(s.index) for s in result.steps if s.truncated]
+    print(f"truncated-steps: {','.join(truncated) or 'none'}")
     print(f"minutes: {float(result.minutes)}")
     print(f"final-state: {result.trace.final_hash}")
     print(f"out-dir: {out}")

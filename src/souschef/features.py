@@ -9,9 +9,10 @@ unit a bag of feature/value pairs. Values are a small closed vocabulary:
 * ``Var``       logic variable, written ``?name`` in grammar files
 * ``ValueSet``  duplicate-free collection matched by subset
 * ``Struct``    nested feature map (e.g. ``{min: 15 minute, max: 20 minute}``)
-* ``Compound``  applicative term ``(name arg ...)``; when the name is a
-  registered procedure it is evaluated (procedural attachment), otherwise it
-  unifies structurally and serves for form facts and meaning predicates alike.
+* ``Compound``  applicative term ``(name arg ...)``; it unifies structurally
+  and serves for form facts and meaning predicates alike.
+* ``Call``      a guard's procedure call (procedural attachment), bound to
+  its function when the grammar is read; only guards hold one.
 
 ``match`` unifies a pattern (a construction's conditional pole) against a
 transient structure one-directionally and returns every binding set. Form
@@ -22,7 +23,8 @@ match against the root's form set. The lemmatizations run before the
 search, so the root stays fixed during it: no search step changes its form
 facts, and a grammar file lets no other construction write ``root``.
 ``merge`` overlays a contributing pole under one binding set, unioning value
-sets and failing loudly on scalar conflicts. Both are pure.
+sets and failing loudly on scalar conflicts. Both are pure: only a guard's
+calls are evaluated, and they read only their arguments and the ontology.
 
 Units, pattern units and transient structures are immutable, so work that
 depends on one ``Unit`` object is done once for it and kept on it, however
@@ -47,11 +49,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, KeysView, Optional, Union
 
-from .errors import (
-    MergeFailure,
-    StructuralError,
-    UnknownProcedureError,
-)
+from .errors import MergeFailure, StructuralError
 
 # ---------------------------------------------------------------------------
 # Values
@@ -169,7 +167,7 @@ class Struct:
 
 @dataclass(frozen=True)
 class Compound:
-    """Applicative term: evaluable procedure call or inert fact/predicate."""
+    """Applicative term: a form fact or meaning predicate."""
 
     name: str
     args: tuple = ()
@@ -185,6 +183,20 @@ class Compound:
         parts = [self.name] + [repr(a) for a in self.args]
         parts += [f":{k} {v!r}" for k, v in self.kwargs]
         return "(" + " ".join(parts) + ")"
+
+
+@dataclass(frozen=True, repr=False)
+class Call(Compound):
+    """A guard's procedure call, bound to its function when the grammar is
+    read. Its arguments are values or calls. The function receives the
+    substituted arguments and returns a FeatureValue, FAILURE or FALSE, or
+    raises a deliberate error."""
+
+    fn: Optional[Callable] = None
+
+    def evaluate(self, bindings: "Bindings") -> "FeatureValue":
+        return self.fn([a.evaluate(bindings) if isinstance(a, Call)
+                        else bindings.substitute(a) for a in self.args])
 
 
 FeatureValue = Union[Sym, Num, Text, Var, ValueSet, Struct, Compound]
@@ -350,40 +362,6 @@ class Bindings:
 
 
 # ---------------------------------------------------------------------------
-# Procedures (procedural attachment)
-
-
-class ProcRegistry:
-    """Named procedures embeddable as feature values.
-
-    A procedure receives already-substituted argument values plus the shared
-    context object (an ontology handle) and returns a FeatureValue, FAILURE,
-    or raises a deliberate error.
-    """
-
-    def __init__(self, context=None):
-        self.context = context
-        self._procs: dict[str, Callable] = {}
-
-    def register(self, name: str, fn: Callable) -> None:
-        self._procs[name] = fn
-
-    def knows(self, name: str) -> bool:
-        return name in self._procs
-
-    def resolve(self, call: Compound, bindings: Bindings) -> FeatureValue:
-        if call.name not in self._procs:
-            raise UnknownProcedureError(f"procedure not registered: {call.name}")
-        args = []
-        for a in call.args:
-            a = bindings.substitute(a)
-            if isinstance(a, Compound) and self.knows(a.name):
-                a = self.resolve(a, bindings)
-            args.append(a)
-        return self._procs[call.name](args, self.context)
-
-
-# ---------------------------------------------------------------------------
 # Units and transient structures
 
 ROOT = "root"
@@ -529,21 +507,14 @@ def _render(fv) -> str:
 # Unification (one-directional: pattern against target)
 
 
-def unify(pattern: FeatureValue, target: FeatureValue, bindings: Bindings,
-          procs: Optional[ProcRegistry] = None) -> list[Bindings]:
+def unify(pattern: FeatureValue, target: FeatureValue,
+          bindings: Bindings) -> list[Bindings]:
     """All binding extensions under which pattern subsumes target."""
     pattern = bindings.walk(pattern)
 
     if isinstance(pattern, Var):
         nb = bindings.bind(pattern.name, target)
         return [nb] if nb is not None else []
-
-    if isinstance(pattern, Compound) and procs is not None and procs.knows(pattern.name):
-        # Evaluable pattern term: compute, then unify the result.
-        result = procs.resolve(pattern, bindings)
-        if result == FAILURE or result == FALSE:
-            return []
-        return unify(result, target, bindings, procs)
 
     if isinstance(pattern, Sym):
         return [bindings] if isinstance(target, Sym) and target.name == pattern.name else []
@@ -562,7 +533,7 @@ def unify(pattern: FeatureValue, target: FeatureValue, bindings: Bindings,
             tv = target.get(k)
             if tv is None:
                 return []
-            envs = [e2 for e in envs for e2 in unify(pv, tv, e, procs)]
+            envs = [e2 for e in envs for e2 in unify(pv, tv, e)]
             if not envs:
                 return []
         return envs
@@ -574,14 +545,14 @@ def unify(pattern: FeatureValue, target: FeatureValue, bindings: Bindings,
             return []
         envs = [bindings]
         for pa, ta in zip(pattern.args, target.args):
-            envs = [e2 for e in envs for e2 in unify(pa, ta, e, procs)]
+            envs = [e2 for e in envs for e2 in unify(pa, ta, e)]
             if not envs:
                 return []
         for k, pv in pattern.kwargs:
             tv = target.kwarg(k)
             if tv is None:
                 return []
-            envs = [e2 for e in envs for e2 in unify(pv, tv, e, procs)]
+            envs = [e2 for e in envs for e2 in unify(pv, tv, e)]
             if not envs:
                 return []
         return envs
@@ -589,12 +560,12 @@ def unify(pattern: FeatureValue, target: FeatureValue, bindings: Bindings,
     if isinstance(pattern, ValueSet):
         if not isinstance(target, ValueSet):
             return []
-        return _unify_subset(tuple(pattern), tuple(target), bindings, procs)
+        return _unify_subset(tuple(pattern), tuple(target), bindings)
 
     raise StructuralError(f"unsupported pattern value: {pattern!r}")
 
 
-def _unify_subset(pmembers, tmembers, bindings, procs,
+def _unify_subset(pmembers, tmembers, bindings,
                   index: Optional[dict] = None) -> list[Bindings]:
     """Each pattern member matches a distinct target member (backtracking).
 
@@ -604,8 +575,7 @@ def _unify_subset(pmembers, tmembers, bindings, procs,
     ``Text``/``Sym`` argument of the pattern (after walking its bindings)
     differs from the target's argument at that position. ``unify`` returns
     no binding for exactly those targets, so the result and its order are
-    unchanged. Evaluable patterns are computed first and are not screened.
-    With an ``index`` of tmembers (see ``Unit.form_pool``) only the
+    unchanged. With an ``index`` of tmembers (see ``Unit.form_pool``) only the
     smallest bucket the screen names is visited, in ascending position.
     """
     out: list[Bindings] = []
@@ -615,14 +585,14 @@ def _unify_subset(pmembers, tmembers, bindings, procs,
             out.append(env)
             return
         first = pmembers[k]
-        screen = _literal_screen(env.walk(first), env, procs)
+        screen = _literal_screen(env.walk(first), env)
         for j in _candidates(screen, len(tmembers), index):
             if j in used:
                 continue
             t = tmembers[j]
             if screen is not None and not _passes(screen, t):
                 continue
-            for env2 in unify(first, t, env, procs):
+            for env2 in unify(first, t, env):
                 extend(k + 1, env2, used + (j,))
 
     extend(0, bindings, ())
@@ -643,11 +613,10 @@ def _candidates(screen: Optional[tuple], n: int, index: Optional[dict]):
     return best
 
 
-def _literal_screen(pattern, bindings, procs) -> Optional[tuple]:
-    """(name, arity, ((position, literal), ...)) of an inert compound
-    pattern, or None when the pattern is no such compound."""
-    if not isinstance(pattern, Compound) \
-            or (procs is not None and procs.knows(pattern.name)):
+def _literal_screen(pattern, bindings) -> Optional[tuple]:
+    """(name, arity, ((position, literal), ...)) of a compound pattern, or
+    None when the pattern is no compound."""
+    if not isinstance(pattern, Compound):
         return None
     literals = []
     for i, a in enumerate(pattern.args):
@@ -685,8 +654,8 @@ class MatchResult:
     touched_tokens: frozenset  # token ids referenced through matched form facts
 
 
-def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
-          procs: Optional[ProcRegistry] = None) -> list[MatchResult]:
+def match(pattern_units: Iterable[PatternUnit],
+          ts: TransientStructure) -> list[MatchResult]:
     """Match a conditional pole against a transient structure.
 
     Returns every surviving binding set (empty list = no match). The result
@@ -740,7 +709,7 @@ def match(pattern_units: Iterable[PatternUnit], ts: TransientStructure,
                 env = env.bind(name.name, Sym(unit.name))
                 if env is None:
                     continue
-            for env2, tch in _match_unit(pu, unit, pool, env, touched, procs):
+            for env2, tch in _match_unit(pu, unit, pool, env, touched):
                 if unit is not None:
                     attempt(idx + 1, env2, used | {unit.name}, tch)
                 elif not isinstance(env2.walk(name), Var):
@@ -776,29 +745,22 @@ def _touched_tokens(facts, env) -> set[str]:
     return out
 
 
-def _check_guards(pattern_value, bindings, procs) -> list[Bindings]:
-    """Evaluate guard terms; (equals ?x expr) unifies, others must not fail."""
+def _check_guards(guards: ValueSet, bindings) -> list[Bindings]:
+    """Evaluate guard terms: a ``Call`` must not fail, and ``(equals X V)``
+    unifies X with V, a call's value when V is a ``Call``."""
     envs = [bindings]
-    for g in facts_of(pattern_value):
+    for g in guards:
         nxt = []
         for env in envs:
-            if g.name == "equals":
-                if len(g.args) != 2:
-                    raise StructuralError("equals guard takes two arguments")
-                lhs, rhs = g.args
-                rhs = env.substitute(rhs)
-                if isinstance(rhs, Compound) and procs is not None and procs.knows(rhs.name):
-                    rhs = procs.resolve(rhs, env)
-                if rhs == FAILURE or rhs == FALSE:
-                    continue
-                nxt.extend(unify(lhs, rhs, env, procs))
-            else:
-                if procs is None or not procs.knows(g.name):
-                    raise UnknownProcedureError(f"guard procedure not registered: {g.name}")
-                result = procs.resolve(g, env)
-                if result in (FAILURE, FALSE):
-                    continue
-                nxt.append(env)
+            if isinstance(g, Call):
+                if g.evaluate(env) not in (FAILURE, FALSE):
+                    nxt.append(env)
+                continue
+            lhs, rhs = g.args
+            rhs = rhs.evaluate(env) if isinstance(rhs, Call) \
+                else env.substitute(rhs)
+            if rhs != FAILURE and rhs != FALSE:
+                nxt.extend(unify(lhs, rhs, env))
         envs = nxt
         if not envs:
             return []
@@ -806,8 +768,8 @@ def _check_guards(pattern_value, bindings, procs) -> list[Bindings]:
 
 
 def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
-                env: Bindings, touched: frozenset,
-                procs) -> list[tuple[Bindings, frozenset]]:
+                env: Bindings,
+                touched: frozenset) -> list[tuple[Bindings, frozenset]]:
     """(bindings, touched tokens) under which pu matches unit.
 
     Form facts unify against the root's form facts (`pool`, the root's
@@ -823,14 +785,13 @@ def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
             facts = tuple(facts_of(fvalue))
             stack = [(env2, tch | _touched_tokens(facts, env2))
                      for env, tch in stack
-                     for env2 in _unify_subset(facts, facts_pool, env, procs,
-                                               index)]
+                     for env2 in _unify_subset(facts, facts_pool, env, index)]
         else:
             tv = unit.get(fname)
             if tv is None:
                 return []
             stack = [(env2, tch) for env, tch in stack
-                     for env2 in unify(fvalue, tv, env, procs)]
+                     for env2 in unify(fvalue, tv, env)]
         if not stack:
             return []
     out = []
@@ -838,7 +799,7 @@ def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
         genvs = [env]
         for fname, fvalue in pu.features:
             if fname == GUARD_FEATURE:
-                genvs = [e2 for e in genvs for e2 in _check_guards(fvalue, e, procs)]
+                genvs = [e2 for e in genvs for e2 in _check_guards(fvalue, e)]
         out.extend((genv, tch) for genv in genvs)
     return out
 
@@ -847,14 +808,8 @@ def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
 # Merging
 
 
-@dataclass(frozen=True)
-class MergeOutcome:
-    structure: TransientStructure
-    bindings: Bindings
-
-
 def merge(contribution: Iterable[PatternUnit], target: TransientStructure,
-          bindings: Bindings, procs: Optional[ProcRegistry] = None) -> MergeOutcome:
+          bindings: Bindings) -> TransientStructure:
     """Overlay a contributing pole onto a transient structure.
 
     Value sets union; equal scalars are idempotent; conflicting scalars raise
@@ -880,7 +835,6 @@ def merge(contribution: Iterable[PatternUnit], target: TransientStructure,
             created = True
         for fname, fvalue in pu.features:
             value = env.substitute(fvalue)
-            value = _eval_contribution(value, env, procs)
             existing = unit.get(fname)
             if existing is None:
                 unit = unit.with_feature(fname, value)
@@ -891,15 +845,7 @@ def merge(contribution: Iterable[PatternUnit], target: TransientStructure,
             else:
                 raise MergeFailure(f"{unit.name}/{fname}", existing, value)
         ts = ts.add_unit(unit) if created else ts.replace_unit(unit)
-    return MergeOutcome(ts, env)
-
-
-def _eval_contribution(value, env, procs):
-    if isinstance(value, Compound) and procs is not None and procs.knows(value.name):
-        return procs.resolve(value, env)
-    if isinstance(value, ValueSet):
-        return ValueSet(_eval_contribution(m, env, procs) for m in value)
-    return value
+    return ts
 
 
 def _scalars_equal(a, b) -> bool:

@@ -23,9 +23,19 @@ Grammar file syntax (s-expressions, ';' comments):
 
 Feature values: ?x is a variable, "..." is text, numbers are exact rationals,
 (num 175 degrees-C) attaches a unit, bare names are symbols, any other list
-is a compound term; compounds named after registered procedures evaluate
-during matching and merging (procedural attachment). A variable name may
-not contain '~', which marks the fresh variables of comprehension.
+is a compound term. A variable name may not contain '~', which marks the
+fresh variables of comprehension.
+
+Procedures (procedural attachment) are called in guards only, and each call
+is bound to its function when the grammar is read. A conditional unit's
+``guard`` feature holds calls such as ``(parse-number ?w)``, which must not
+fail, and terms ``(equals X V)``, which unify the pattern X with V. As V,
+and as an argument of a call, a compound term is itself a call, as in
+``(equals ?d (with-unit (parse-number ?w) minute))``. A call naming no
+registered procedure raises UnknownProcedureError. A procedure named
+anywhere else (a form fact, a meaning, a contributing feature, X of
+``equals``), a ``guard`` feature in a contributing pole, or a call with
+keyword arguments is a GrammarSyntaxError.
 
 Form facts live on the ``root`` unit only. Only a lemmatization may
 contribute ``form``; it contributes ``form`` to ``root`` and nothing else,
@@ -59,10 +69,9 @@ from .errors import (
     StructuralError, UnknownProcedureError,
 )
 from .features import (
-    FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Compound, MatchResult, Num,
-    PatternUnit, ProcRegistry, Struct, Sym, Text, TransientStructure, Unit,
-    ValueSet, Var, fact, facts_of, form_only, match, merge, variables_in_order,
-    vars_of,
+    FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Call, Compound, MatchResult,
+    Num, PatternUnit, Struct, Sym, Text, TransientStructure, Unit, ValueSet,
+    Var, fact, facts_of, form_only, match, merge, variables_in_order, vars_of,
 )
 from .kitchen import PRIMITIVES
 from .memory import make_registry
@@ -266,7 +275,10 @@ def _atom_value(s: str, line: int):
         return Sym(s)
 
 
-def _parse_value(node: _Node):
+def _parse_value(node: _Node, procs: dict, calls: bool = False):
+    """The value node denotes. Where calls, a compound term is a procedure
+    call bound to its function, and so is each compound argument of it;
+    elsewhere a compound term naming a procedure is an error."""
     if node.kind == "atom":
         return _atom_value(node.value, node.line)
     if node.kind == "string":
@@ -292,8 +304,15 @@ def _parse_value(node: _Node):
         for r in rest:
             if r.kind != "list" or len(r.value) != 2 or r.value[0].kind != "atom":
                 raise GrammarSyntaxError("(struct (key value) ...)", line=node.line)
-            fields.append((r.value[0].value, _parse_value(r.value[1])))
+            fields.append((r.value[0].value, _parse_value(r.value[1], procs)))
         return Struct(fields)
+    if calls and head not in procs:
+        raise UnknownProcedureError(
+            f"line {node.line}: unknown procedure {head}")
+    if head in procs and not calls:
+        raise GrammarSyntaxError(
+            f"procedure {head} may be called only in a guard: as the guard, "
+            f"as V in (equals X V), or as a call's argument", line=node.line)
     args, kwargs = [], []
     k = 0
     while k < len(rest):
@@ -302,23 +321,47 @@ def _parse_value(node: _Node):
             if k + 1 >= len(rest):
                 raise GrammarSyntaxError(f"keyword {r.value} lacks a value",
                                          line=r.line)
-            kwargs.append((r.value[1:], _parse_value(rest[k + 1])))
+            kwargs.append((r.value[1:], _parse_value(rest[k + 1], procs)))
             k += 2
         else:
             if kwargs:
                 raise GrammarSyntaxError(
                     "positional value after keyword", line=r.line)
-            args.append(_parse_value(r))
+            args.append(_parse_value(r, procs, calls))
             k += 1
-    return Compound(head, tuple(args), tuple(kwargs))
+    if not calls:
+        return Compound(head, tuple(args), tuple(kwargs))
+    if kwargs:
+        raise GrammarSyntaxError(
+            f"procedure call {head} takes no keyword arguments",
+            line=node.line)
+    return Call(head, tuple(args), fn=procs[head])
 
 
-def _parse_feature(node: _Node) -> tuple:
+def _parse_guard(node: _Node, procs: dict):
+    """A procedure call, or (equals X V) with V a value or a call."""
+    head = node.value[0] if node.kind == "list" and node.value else None
+    if head is not None and head.kind == "atom" and head.value == "equals":
+        if len(node.value) != 3:
+            raise GrammarSyntaxError("(equals X V) takes two arguments",
+                                     line=node.line)
+        lhs, rhs = node.value[1:]
+        return Compound("equals", (_parse_value(lhs, procs),
+                                   _parse_value(rhs, procs, calls=True)))
+    guard = _parse_value(node, procs, calls=True)
+    if not isinstance(guard, Call):
+        raise GrammarSyntaxError(
+            "guard must be a procedure call or (equals X V)", line=node.line)
+    return guard
+
+
+def _parse_feature(node: _Node, procs: dict) -> tuple:
     if node.kind != "list" or not node.value or node.value[0].kind != "atom":
         raise GrammarSyntaxError("feature must be (name value ...)",
                                  line=node.line)
     fname = node.value[0].value
-    values = [_parse_value(v) for v in node.value[1:]]
+    parse = _parse_guard if fname == GUARD_FEATURE else _parse_value
+    values = [parse(v, procs) for v in node.value[1:]]
     if not values:
         raise GrammarSyntaxError(f"feature {fname} has no value", line=node.line)
     if fname in (FORM_FEATURE, "meaning", GUARD_FEATURE) or len(values) > 1:
@@ -326,7 +369,7 @@ def _parse_feature(node: _Node) -> tuple:
     return fname, values[0]
 
 
-def _parse_pattern_unit(node: _Node) -> PatternUnit:
+def _parse_pattern_unit(node: _Node, procs: dict) -> PatternUnit:
     if node.kind != "list" or not node.value:
         raise GrammarSyntaxError("pole unit must be (name (feature ...) ...)",
                                  line=node.line)
@@ -337,14 +380,14 @@ def _parse_pattern_unit(node: _Node) -> PatternUnit:
     name = _atom_value(head.value, head.line)
     if not isinstance(name, (Sym, Var)):
         raise GrammarSyntaxError(f"bad unit name: {head.value}", line=head.line)
-    features = [_parse_feature(f) for f in node.value[1:]]
+    features = [_parse_feature(f, procs) for f in node.value[1:]]
     try:
         return PatternUnit.build(name, features)
     except StructuralError as exc:
         raise GrammarSyntaxError(str(exc), line=node.line)
 
 
-def _parse_cxn(node: _Node) -> Construction:
+def _parse_cxn(node: _Node, procs: dict) -> Construction:
     items = node.value
     if len(items) < 2 or items[1].kind != "atom":
         raise GrammarSyntaxError("(cxn NAME ...)", line=node.line)
@@ -374,7 +417,8 @@ def _parse_cxn(node: _Node) -> Construction:
             pole = it.value[0].value
             if pole in poles:
                 raise GrammarSyntaxError(f"duplicate {pole} pole", line=it.line)
-            poles[pole] = tuple(_parse_pattern_unit(u) for u in it.value[1:])
+            poles[pole] = tuple(_parse_pattern_unit(u, procs)
+                                for u in it.value[1:])
             units += [(pole, pu, u.line)
                       for pu, u in zip(poles[pole], it.value[1:])]
             k += 1
@@ -413,6 +457,10 @@ def _parse_cxn(node: _Node) -> Construction:
                 f"construction {name}: only a lemmatization may contribute "
                 f"form; it gives root only form and reads only form and "
                 f"guard features", line=line)
+        if pole == "contributing" and GUARD_FEATURE in features:
+            raise GrammarSyntaxError(
+                f"construction {name}: only a conditional unit holds guards",
+                line=line)
         if pole == "contributing" and not lemmatization and not (
                 pu.name in read
                 or isinstance(pu.name, Var) and pu.name.name not in bound):
@@ -435,8 +483,10 @@ def _parse_cxn(node: _Node) -> Construction:
     return Construction(name, kind, score, conditional, poles["contributing"])
 
 
-def parse_grammar(text: str, procs: Optional[ProcRegistry] = None) -> tuple:
-    """(constructions, function_words); validates names, kinds, guards."""
+def parse_grammar(text: str, procs: Optional[dict] = None) -> tuple:
+    """(constructions, function_words); validates names, kinds and guards,
+    binding each guard's calls to procs (name -> function; none if None)."""
+    procs = procs or {}
     constructions: list[Construction] = []
     names = set()
     function_words: set[str] = set()
@@ -447,13 +497,11 @@ def parse_grammar(text: str, procs: Optional[ProcRegistry] = None) -> tuple:
                 line=node.line)
         head = node.value[0].value
         if head == "cxn":
-            cxn = _parse_cxn(node)
+            cxn = _parse_cxn(node, procs)
             if cxn.name in names:
                 raise DuplicateNameError(
                     f"construction defined twice: {cxn.name} (line {node.line})")
             names.add(cxn.name)
-            if procs is not None:
-                _validate_guards(cxn, procs, node.line)
             constructions.append(cxn)
         elif head == "function-words":
             for w in node.value[1:]:
@@ -467,31 +515,13 @@ def parse_grammar(text: str, procs: Optional[ProcRegistry] = None) -> tuple:
     return tuple(constructions), frozenset(function_words)
 
 
-def _validate_guards(cxn: Construction, procs: ProcRegistry, line: int) -> None:
-    for pu in cxn.conditional + cxn.contributing:
-        for fname, value in pu.features:
-            if fname != GUARD_FEATURE:
-                continue
-            members = value if isinstance(value, ValueSet) else ValueSet([value])
-            for g in members:
-                if not isinstance(g, Compound):
-                    raise GrammarSyntaxError(
-                        f"construction {cxn.name}: guard must be a compound",
-                        line=line)
-                if g.name == "equals":
-                    for a in g.args:
-                        if isinstance(a, Compound) and not procs.knows(a.name):
-                            raise UnknownProcedureError(
-                                f"construction {cxn.name}: unknown procedure "
-                                f"{a.name}")
-                elif not procs.knows(g.name):
-                    raise UnknownProcedureError(
-                        f"construction {cxn.name}: unknown guard procedure "
-                        f"{g.name}")
-
-
 # ---------------------------------------------------------------------------
 # Application and search
+
+
+#: The states one comprehension search may hold; a search that reaches it
+#: with states unexpanded reports ``truncated``.
+MAX_STATES = 4000
 
 
 @dataclass
@@ -501,11 +531,11 @@ class ComprehensionResult:
     score: Fraction
     unresolved_tokens: list   # Token objects never consumed
     succeeded: bool
-    truncated: bool           # stopped at max_states with states unexpanded
+    truncated: bool           # stopped at MAX_STATES with states unexpanded
 
 
 def apply_construction(cxn: Construction, ts: TransientStructure,
-                       procs: ProcRegistry, memo: Optional[dict] = None) -> list:
+                       memo: dict) -> list:
     """Every transient structure one application of cxn can produce.
 
     Matching runs on the grammar's own conditional pole, on its own
@@ -515,27 +545,24 @@ def apply_construction(cxn: Construction, ts: TransientStructure,
     ``merge`` names each new unit after its variable, so a state's names
     depend on which applications built it and not on their order.
 
-    With a ``memo``, one search's, each match and merge is done once per
-    distinct input (see ``Grammar.comprehend``).
+    The memo, one search's, keeps each match and merge it makes, so each
+    is done once per distinct input (see ``Grammar.comprehend``); a fresh
+    dict gives the same result.
     """
-    if memo is None:
-        matches = match(cxn.conditional, ts, procs=procs)
-    else:
-        matches = _memo_matches(cxn, ts, procs, memo)
     out = []
-    for mr in matches:
+    for mr in _memo_matches(cxn, ts, memo):
         if _instance_name(cxn, mr) in ts.applied:
             continue  # this exact application already happened
-        child = _apply_match(cxn, mr, ts, procs, memo)
+        child = _apply_match(cxn, mr, ts, memo)
         if child is not None:
             out.append(child)
     return out
 
 
 def _memo_matches(cxn: Construction, ts: TransientStructure,
-                  procs: ProcRegistry, memo: dict) -> list:
-    """``match(cxn.conditional, ts, procs)``, kept in memo under cxn's view
-    of ts (see ``Grammar.comprehend``)."""
+                  memo: dict) -> list:
+    """``match(cxn.conditional, ts)``, kept in memo under cxn's view of ts
+    (see ``Grammar.comprehend``)."""
     required, read = cxn.reads
     units = ts.units if not all(required) else tuple(
         u for u in ts.units
@@ -547,7 +574,7 @@ def _memo_matches(cxn: Construction, ts: TransientStructure,
     key = tuple(key)
     entry = memo.get(key)
     if entry is None:
-        entry = memo[key] = (units, match(cxn.conditional, ts, procs=procs))
+        entry = memo[key] = (units, match(cxn.conditional, ts))
     return entry[1]
 
 
@@ -561,8 +588,7 @@ def _instance_name(cxn: Construction, mr: MatchResult) -> str:
 
 
 def _apply_match(cxn: Construction, mr: MatchResult, ts: TransientStructure,
-                 procs: ProcRegistry,
-                 memo: Optional[dict] = None) -> Optional[TransientStructure]:
+                 memo: dict) -> Optional[TransientStructure]:
     """The state one match of cxn makes of ts, or None when the merge fails.
 
     Each variable the match leaves unbound stands for a fresh one named
@@ -570,31 +596,14 @@ def _apply_match(cxn: Construction, mr: MatchResult, ts: TransientStructure,
     ``?x~<entry>``. A path holds an entry at most once, so the names are
     fresh in every state it reaches. They grow with nesting, since an
     entry names the units its application read.
+
+    The units cxn writes are kept in memo under the match and the units
+    they replace (see ``Grammar.comprehend``).
     """
     entry = _instance_name(cxn, mr)
     bindings = Bindings(dict(mr.bindings.items()) | {
         v: Var(f"{v}~{entry}") for v in cxn.variables
         if mr.bindings.lookup(v) is None})
-    if memo is None:
-        try:
-            units = merge(cxn.contributing, ts, bindings, procs).structure.units
-        except MergeFailure:
-            return None
-    else:
-        units = _memo_merge(cxn, mr, ts, bindings, procs, memo)
-        if units is None:
-            return None
-    return TransientStructure(units, ts.applied + (entry,),
-                              ts.consumed | mr.touched_tokens)
-
-
-def _memo_merge(cxn: Construction, mr: MatchResult, ts: TransientStructure,
-                bindings: Bindings, procs: ProcRegistry,
-                memo: dict) -> Optional[tuple]:
-    """The units of ``merge(cxn.contributing, ts, bindings, procs)`` in its
-    order, or None when it fails; the units cxn writes are kept in memo
-    under the match and the units they replace (see ``Grammar.comprehend``).
-    """
     names = []  # as merge names them, in the order it writes them
     for pu in cxn.contributing:
         name = bindings.walk(pu.name)
@@ -607,19 +616,21 @@ def _memo_merge(cxn: Construction, mr: MatchResult, ts: TransientStructure,
     for v, x in mr.bindings.items():
         key += [v, x if isinstance(x, (Sym, Text, Var, Num)) else id(x)]
     key = tuple(key)
-    entry = memo.get(key)
-    if entry is None:
+    kept = memo.get(key)
+    if kept is None:
         try:
-            merged = merge(cxn.contributing, ts, bindings, procs).structure
+            merged = merge(cxn.contributing, ts, bindings)
             made = tuple(merged.unit(n) for n in names)
         except MergeFailure:
             made = None
-        entry = memo[key] = (mr, old, made)
-    made = entry[2]
+        kept = memo[key] = (mr, old, made)
+    made = kept[2]
     if made is None:
         return None
     new = dict(zip(names, made))
-    return tuple(new.pop(u.name, u) for u in ts.units) + tuple(new.values())
+    units = tuple(new.pop(u.name, u) for u in ts.units) + tuple(new.values())
+    return TransientStructure(units, ts.applied + (entry,),
+                              ts.consumed | mr.touched_tokens)
 
 
 #: Form facts whose last argument may be a text literal worth indexing.
@@ -633,7 +644,7 @@ def _anchor(f) -> Optional[tuple]:
     return None
 
 
-def construction_anchors(cxn: Construction, procs: ProcRegistry) -> frozenset:
+def construction_anchors(cxn: Construction) -> frozenset:
     """(fact name, text) of each conditional form fact ending in a literal.
 
     A construction can match only a state holding all of its anchors; the
@@ -647,7 +658,7 @@ def construction_anchors(cxn: Construction, procs: ProcRegistry) -> frozenset:
                 continue
             for f in facts_of(value):
                 a = _anchor(f)
-                if a is not None and not procs.knows(f.name):
+                if a is not None:
                     out.add(a)
     return frozenset(out)
 
@@ -657,8 +668,8 @@ def applied_names(ts: TransientStructure) -> tuple:
 
 
 class Grammar:
-    def __init__(self, constructions: tuple, function_words: frozenset = frozenset(),
-                 procs: Optional[ProcRegistry] = None):
+    def __init__(self, constructions: tuple,
+                 function_words: frozenset = frozenset()):
         self.constructions = tuple(constructions)
         by_name = {}
         for c in self.constructions:
@@ -667,8 +678,7 @@ class Grammar:
             by_name[c.name] = c
         self.by_name = by_name
         self.function_words = frozenset(function_words)
-        self.procs = procs if procs is not None else make_registry(None)
-        self.anchors = {c.name: construction_anchors(c, self.procs)
+        self.anchors = {c.name: construction_anchors(c)
                         for c in self.constructions}
 
     def candidates(self, ts: TransientStructure) -> list:
@@ -678,8 +688,7 @@ class Grammar:
         return [c for c in self.constructions
                 if self.anchors[c.name] <= present]
 
-    def comprehend(self, utterance, accessible: tuple = (),
-                   max_states: int = 4000) -> ComprehensionResult:
+    def comprehend(self, utterance, accessible: tuple = ()) -> ComprehensionResult:
         """Search construction applications for a covering analysis.
 
         utterance: a string or a pre-tokenized list. A state is terminal when
@@ -722,13 +731,13 @@ class Grammar:
         calls, and every order of the same applications reaches one state,
         which keeps the first path found to it. A rank tie on every other
         key falls to ``content_key``. The search stops once it holds
-        max_states states; the result is then ``truncated`` when a state
+        MAX_STATES states; the result is then ``truncated`` when a state
         was left unexpanded.
 
         A child state differs from its parent by one merge, so the search
         keeps one memo, dropped when it returns, and matches and merges
         each distinct input once. The root, and with it every form fact,
-        stays fixed during the search, and so does the procedure registry.
+        stays fixed during the search.
 
         * Matches are kept under the construction and its view of a state:
           in state order, each unit that holds every feature some
@@ -769,12 +778,12 @@ class Grammar:
         k0 = ts0.content_key()
         states[k0] = ts0
         work = [k0]
-        while work and len(states) < max_states:
+        while work and len(states) < MAX_STATES:
             key = work.pop()
             ts = states[key]
             leaf = True
             for cxn in candidates:
-                for child in apply_construction(cxn, ts, self.procs, memo):
+                for child in apply_construction(cxn, ts, memo):
                     ck = child.content_key()
                     if ck == key:
                         continue
@@ -805,11 +814,13 @@ class Grammar:
 
     def _lemmatize(self, ts: TransientStructure) -> TransientStructure:
         """ts with the lemmatizations applied to a fixpoint: each round takes
-        the first application, in grammar order, that adds a form fact."""
+        the first application, in grammar order, that adds a form fact.
+        Each round has its own memo, since the root it matches changes."""
         while True:
+            memo: dict = {}
             grown = next((child for cxn in self.candidates(ts)
                           if cxn.kind == "lemmatization"
-                          for child in apply_construction(cxn, ts, self.procs)
+                          for child in apply_construction(cxn, ts, memo)
                           if child.root != ts.root), None)
             if grown is None:
                 return ts
@@ -818,12 +829,16 @@ class Grammar:
     def _apply_uncontested(self, ts: TransientStructure,
                            candidates: list) -> tuple:
         """(ts with every uncontested form-only application made, the
-        candidates the search still needs); see ``comprehend``."""
+        candidates the search still needs); see ``comprehend``.
+
+        Each application merges with a fresh memo. The search never meets
+        these merges again, since each one's entry is in ``applied``, so
+        the search's memo would only keep their inputs alive."""
         form_cxns = [cxn for cxn in candidates if cxn.form_only]
         trials = []  # (cxn, match, its tokens)
         claims: Counter = Counter()  # token -> form-only matches naming it
         for cxn in form_cxns:
-            for mr in match(cxn.conditional, ts, self.procs):
+            for mr in match(cxn.conditional, ts):
                 tokens = {Sym(t) for t in mr.touched_tokens} \
                     | {mr.bindings.walk(pu.name) for pu in cxn.conditional}
                 claims.update(tokens)
@@ -835,7 +850,7 @@ class Grammar:
         for cxn, mr, tokens in trials:
             child = None  # (i): no other claim; (ii) below
             if all(claims[t] == 1 for t in tokens):
-                child = _apply_match(cxn, mr, ts, self.procs)
+                child = _apply_match(cxn, mr, ts, {})
             child_key = child.content_key() if child is not None else key
             if child_key != key:
                 ts, key = child, child_key
@@ -1031,6 +1046,4 @@ def _count_dangling(ts: TransientStructure) -> int:
 
 def load_grammar(path, ontology) -> Grammar:
     text = Path(path).read_text()
-    registry = make_registry(ontology)
-    constructions, function_words = parse_grammar(text, registry)
-    return Grammar(constructions, function_words, registry)
+    return Grammar(*parse_grammar(text, make_registry(ontology)))

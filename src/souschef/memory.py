@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import InputError, UnknownConceptError
-from .features import FAILURE, FALSE, TRUE, Num, ProcRegistry, Struct, Sym, Text
+from .features import FAILURE, FALSE, TRUE, Num, Struct, Sym, Text
 from .serialize import NUMBER, check_shape, read_json
 
 KITCHEN_STATE_CONCEPT = "kitchen-state"
@@ -325,34 +325,33 @@ def _as_text(fv) -> Optional[str]:
     return None
 
 
-def make_registry(ontology: Ontology) -> ProcRegistry:
-    """Standard procedure set shared by grammar matching and merging."""
-    reg = ProcRegistry(context=ontology)
+def make_registry(ontology: Ontology) -> dict:
+    """Name -> function of the procedures a grammar's guards may call; each
+    function takes the list of its substituted arguments."""
 
-    def lookup_in_ontology(args, ctx):
+    def lookup_in_ontology(args):
         if len(args) != 1 or not isinstance(args[0], Sym):
             raise InputError("lookup-in-ontology takes one concept symbol")
-        feats = ctx.lookup(args[0].name)  # raises UnknownConceptError on miss
+        # raises UnknownConceptError on a miss
+        feats = ontology.lookup(args[0].name)
         return Struct([(k, _json_to_fv(v)) for k, v in sorted(feats.items())])
 
-    def is_a(args, ctx):
+    def is_a(args):
         if len(args) != 2:
             raise InputError("is-a takes concept and ancestor")
         c, a = (_as_text(x) for x in args)
         if c is None or a is None:
             return FALSE
-        return TRUE if ctx.is_a(c, a) else FALSE
+        return TRUE if ontology.is_a(c, a) else FALSE
 
-    def parse_number(args, ctx):
-        del ctx
+    def parse_number(args):
         s = _as_text(args[0]) if args else None
         if s is None:
             return FAILURE
         value = parse_number_text(s)
         return Num(value) if value is not None else FAILURE
 
-    def parse_range(args, ctx):
-        del ctx
+    def parse_range(args):
         s = _as_text(args[0]) if args else None
         if s is None or "-" not in s:
             return FAILURE
@@ -362,10 +361,9 @@ def make_registry(ontology: Ontology) -> ProcRegistry:
             return FAILURE
         return Struct([("min", Num(lo_v)), ("max", Num(hi_v))])
 
-    def with_unit(args, ctx):
+    def with_unit(args):
         """(with-unit NUM SYMBOL) tags a number (or a min/max range) with a
         unit."""
-        del ctx
         if len(args) != 2 or not isinstance(args[1], Sym):
             return FAILURE
         value, unit = args[0], args[1].name
@@ -380,9 +378,6 @@ def make_registry(ontology: Ontology) -> ProcRegistry:
             return Struct(fields)
         return FAILURE
 
-    reg.register("lookup-in-ontology", lookup_in_ontology)
-    reg.register("is-a", is_a)
-    reg.register("parse-number", parse_number)
-    reg.register("parse-range", parse_range)
-    reg.register("with-unit", with_unit)
-    return reg
+    return {"lookup-in-ontology": lookup_in_ontology, "is-a": is_a,
+            "parse-number": parse_number, "parse-range": parse_range,
+            "with-unit": with_unit}

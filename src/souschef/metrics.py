@@ -151,8 +151,7 @@ def _placement_order(x: TripleSet, x_attrs: dict) -> list:
     return order
 
 
-def smatch_score(a: TripleSet, b: TripleSet, restarts: int = 16,
-                 seed: int = 0) -> OverlapScore:
+def smatch_score(a: TripleSet, b: TripleSet) -> OverlapScore:
     """Best triple overlap over one-to-one call alignments.
 
     Branch and bound over the calls of the smaller graph, placed in
@@ -162,8 +161,7 @@ def smatch_score(a: TripleSet, b: TripleSet, restarts: int = 16,
     relations that target could carry (it has one of that role in that
     direction). The result is proven optimal (`exact`) unless the search
     reaches ALIGN_BUDGET nodes; then it is the best alignment found.
-    Deterministic. `restarts` and `seed` have no effect; they stay for
-    callers that still pass them.
+    Deterministic.
     """
     x, y = (a, b) if len(a.nodes) <= len(b.nodes) else (b, a)
     y_prim = dict(y.instances)
@@ -236,8 +234,9 @@ def smatch_exact(a: TripleSet, b: TripleSet, max_vars: int = 8) -> OverlapScore:
 
 
 def smatch_plans(plan_a: PlanNetwork, plan_b: PlanNetwork,
-                 restarts: int = 16, seed: int = 0) -> OverlapScore:
-    """smatch_score of two plans; `restarts` and `seed` have no effect."""
+                 seed: int = 0) -> OverlapScore:
+    """smatch_score of two plans. `seed` has no effect; it stays because
+    the benchmark's execute-score workload passes it."""
     return smatch_score(plan_triples(plan_a), plan_triples(plan_b))
 
 

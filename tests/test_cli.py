@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import souschef.grammar as grammar_module
 from souschef import Ontology, cli, load_plan
 from souschef.cli import main
 from souschef.narrative import parse_curve_tsv
@@ -24,6 +25,7 @@ def test_understand_writes_artifacts(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "closed: yes" in stdout
+    assert "truncated-steps: none" in stdout
     for name in ("plan.json", "curve.tsv", "questions.json", "trace.jsonl"):
         assert (out / name).exists(), name
     network = load_plan(out / "plan.json")
@@ -54,6 +56,19 @@ def test_understand_resolves_bundled_recipe_names(tmp_path):
     code = main(["understand", "--recipe", "vanilla-butter-rounds",
                  "--out-dir", str(tmp_path / "v")])
     assert code == 0
+
+
+def test_truncated_steps_are_listed_without_changing_the_exit_code(
+        tmp_path, capsys, monkeypatch):
+    # at a cap of ten states two almond steps stop early, yet each still
+    # finds a covering analysis and the recipe closes
+    monkeypatch.setattr(grammar_module, "MAX_STATES", 10)
+    code = main(["understand", "--recipe", ALMOND_RECIPE,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "closed: yes" in stdout
+    assert "truncated-steps: 9,11" in stdout
 
 
 def test_execute_replays_saved_plan(tmp_path, capsys):
@@ -239,6 +254,7 @@ def test_evaluate_against_bundled_gold(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "smatch-f1: 1.0" in stdout
+    assert "truncated-steps: none" in stdout
     assert "goal-condition-success: 1.0" in stdout
     assert "dish-approximation-score: 1.0" in stdout
     report = json.loads((out / "report.json").read_text())

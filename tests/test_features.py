@@ -114,8 +114,7 @@ def test_merge_unions_value_sets_and_keeps_scalars():
     contribution = [PatternUnit(Sym("u1"),
                                 (("meaning", ValueSet([Sym("new")])),
                                  ("cat", Sym("food"))))]
-    out = merge(contribution, ts, Bindings())
-    unit = out.structure.unit("u1")
+    unit = merge(contribution, ts, Bindings()).unit("u1")
     assert unit.get("meaning") == ValueSet([Sym("old"), Sym("new")])
     assert unit.get("cat") == Sym("food")
     # the input structure is untouched
@@ -133,10 +132,8 @@ def test_merge_unbound_unit_name_allocates_fresh_unit():
     ts = _ts()
     contribution = [PatternUnit(Var("np"), (("cat", Sym("food")),))]
     out = merge(contribution, ts, Bindings())
-    created = out.bindings.lookup("np")
-    assert isinstance(created, Sym)
-    assert out.structure.unit(created.name).get("cat") == Sym("food")
-    assert ts.unit(created.name) is None
+    assert out.unit("unit-np").get("cat") == Sym("food")
+    assert ts.unit("unit-np") is None
 
 
 def test_match_binds_unit_and_reports_touched_tokens():
@@ -204,11 +201,11 @@ def test_value_set_match_screens_targets_like_unify():
     # the root's indexed form pool visits the same targets in the same order
     pool, index = Unit("root", (("form", facts),)).form_pool
     for p in patterns:
-        assert _unify_subset((p,), pool, bound, None, index) == \
+        assert _unify_subset((p,), pool, bound, index) == \
             unify(ValueSet([p]), facts, bound), p
         for q in patterns:
-            assert _unify_subset((p, q), pool, bound, None, index) == \
-                _unify_subset((p, q), pool, bound, None), (p, q)
+            assert _unify_subset((p, q), pool, bound, index) == \
+                _unify_subset((p, q), pool, bound), (p, q)
 
 
 def test_value_set_subset_keeps_bindings_that_differ_by_type():

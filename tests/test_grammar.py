@@ -1,6 +1,5 @@
 """Grammar file parsing and comprehension over the bundled constructions."""
 
-import functools
 import gc
 import random
 import weakref
@@ -78,6 +77,70 @@ def test_parse_grammar_rejects_unknown_guard_procedure():
                            (guard (equals ?n (divine ?w)))))
           (contributing (?t (value ?n))))
         """, make_registry(None))
+
+
+@pytest.mark.parametrize("text, line", [
+    # a procedure in a form fact, a meaning, a contributing feature, the
+    # pattern side of equals, a contributing guard, a call with keywords
+    ("""
+    (cxn bad :kind lexical :score 1/2
+      (conditional (?t (form (string ?t (parse-number ?w)))))
+      (contributing (?t (lex-class number))))
+    """, 3),
+    ("""
+    (cxn bad :kind lexical :score 1/2
+      (conditional (?t (form (string ?t ?w))))
+      (contributing (?t (meaning (parse-number ?w)))))
+    """, 4),
+    ("""
+    (cxn bad :kind lexical :score 1/2
+      (conditional (?t (form (string ?t ?w))))
+      (contributing (?t (value (parse-number ?w)))))
+    """, 4),
+    ("""
+    (cxn bad :kind lexical :score 1/2
+      (conditional (?t (form (string ?t ?w))
+                       (guard (equals (parse-number ?w) ?n))))
+      (contributing (?t (value ?n))))
+    """, 4),
+    ("""
+    (cxn bad :kind lexical :score 1/2
+      (conditional (?t (form (string ?t ?w))))
+      (contributing (?t (guard (equals ?n (parse-number ?w))))))
+    """, 4),
+    ("""
+    (cxn bad :kind lexical :score 1/2
+      (conditional (?t (form (string ?t ?w))
+                       (guard (equals ?n (parse-number ?w :base 10)))))
+      (contributing (?t (value ?n))))
+    """, 4),
+], ids=["form", "meaning", "contributing", "equals-pattern",
+        "contributing-guard", "keywords"])
+def test_procedures_are_called_only_in_guards(ontology, text, line):
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar(text, make_registry(ontology))
+    assert err.value.line == line
+
+
+def test_nested_guard_calls_are_bound_at_load(ontology):
+    registry = make_registry(ontology)
+    grammar = Grammar(*parse_grammar("""
+    (cxn minutes :kind lexical :score 1/2
+      (conditional (?t (form (string ?t ?w))
+                       (guard (equals ?d (with-unit (parse-number ?w)
+                                                    minute)))))
+      (contributing (?t (duration ?d))))
+    """, registry))
+    unit = grammar.comprehend("ten").structure.unit("t0-ten")
+    assert unit.get("duration") == Num(Fraction(10), "minute")
+    assert not grammar.comprehend("soon").applied  # parse-number fails
+    with pytest.raises(UnknownProcedureError):
+        parse_grammar("""
+        (cxn bad :kind lexical :score 1/2
+          (conditional (?t (form (string ?t ?w))
+                           (guard (equals ?n (parse-number (divine ?w))))))
+          (contributing (?t (value ?n))))
+        """, registry)
 
 
 def test_parse_grammar_rejects_form_contributed_off_root():
@@ -326,7 +389,7 @@ def test_anchor_prefilter_skips_only_constructions_that_cannot_apply(
             if cxn.name not in tried:
                 skipped += 1
                 assert grammar_module.apply_construction(
-                    cxn, ts, grammar.procs) == [], cxn.name
+                    cxn, ts, {}) == [], cxn.name
     assert skipped > 0
 
 
@@ -337,8 +400,7 @@ def _better_path(a: TransientStructure, b: TransientStructure) -> bool:
     return len(a.applied) < len(b.applied)
 
 
-def _single_layer_winner(grammar, utterance, accessible=(),
-                         max_states=4000) -> tuple:
+def _single_layer_winner(grammar, utterance, accessible=()) -> tuple:
     """(content_key, score, unresolved token ids, sorted applied) of the
     search that interleaves the lemmatizations with every other
     construction and reads the candidates of each state: the reference
@@ -352,15 +414,14 @@ def _single_layer_winner(grammar, utterance, accessible=(),
     k0 = ts0.content_key()
     states[k0] = ts0
     work = [k0]
-    while work and len(states) < max_states:
+    while work and len(states) < grammar_module.MAX_STATES:
         key = work.pop()
         ts = states[key]
         if key in children_cache:
             continue
         children = []
         for cxn in grammar.candidates(ts):
-            for child in grammar_module.apply_construction(
-                    cxn, ts, grammar.procs):
+            for child in grammar_module.apply_construction(cxn, ts, {}):
                 ck = child.content_key()
                 if ck == key:
                     continue
@@ -399,10 +460,10 @@ def test_layered_search_picks_the_single_layer_winner(grammar, ontology,
     compared = []
     layered = grammar.comprehend
 
-    def both(utterance, accessible=(), max_states=4000):
-        result = layered(utterance, accessible, max_states)
+    def both(utterance, accessible=()):
+        result = layered(utterance, accessible)
         assert _winner(result) == _single_layer_winner(
-            grammar, utterance, accessible, max_states), utterance
+            grammar, utterance, accessible), utterance
         compared.append(any(grammar.by_name[n].kind == "lemmatization"
                             for n in result.applied))
         return result
@@ -481,8 +542,7 @@ LEFT_THE_SEARCH = {
 def test_contested_applications_stay_in_the_search(
         data_dir, ontology, monkeypatch, sentence, layer, searched):
     text = (data_dir / "grammar.cxn").read_text() + CONTESTING_CONSTRUCTIONS
-    procs = make_registry(ontology)
-    grammar = Grammar(*parse_grammar(text, procs), procs)
+    grammar = Grammar(*parse_grammar(text, make_registry(ontology)))
     seen = []
     apply_uncontested = grammar._apply_uncontested
 
@@ -526,8 +586,8 @@ def test_commuting_applications_build_one_state(grammar, sentence, names):
     first, second = (grammar.by_name[n] for n in names)
     ends = []
     for a, b in ((first, second), (second, first)):
-        (middle,) = grammar_module.apply_construction(a, ts0, grammar.procs)
-        (end,) = grammar_module.apply_construction(b, middle, grammar.procs)
+        (middle,) = grammar_module.apply_construction(a, ts0, {})
+        (end,) = grammar_module.apply_construction(b, middle, {})
         ends.append(end)
     units = [{(u.name, frozenset(u.features)) for u in end.units}
              for end in ends]
@@ -547,8 +607,8 @@ def test_cached_match_equals_uncached_match(grammar, sentence):
     for ts in _reached_states(grammar, sentence):
         copy = _rebuilt(ts)
         for cxn in grammar.candidates(ts):
-            assert match(cxn.conditional, ts, grammar.procs) == \
-                match(cxn.conditional, copy, grammar.procs), cxn.name
+            assert match(cxn.conditional, ts) == \
+                match(cxn.conditional, copy), cxn.name
 
 
 def test_cached_match_follows_root_form_changes():
@@ -569,17 +629,17 @@ def test_cached_match_follows_root_form_changes():
     """))
     ts0 = grammar_module.initialize_transient(tokenize("balls"))
     (early,) = grammar_module.apply_construction(
-        grammar.by_name["balls-noun"], ts0, grammar.procs)
+        grammar.by_name["balls-noun"], ts0, {})
     late = grammar_module.apply_construction(
-        grammar.by_name["plural-ball"], early, grammar.procs)[0]
+        grammar.by_name["plural-ball"], early, {})[0]
     ball_cat = grammar.by_name["ball-cat"]
     for ts in (ts0, early, late):
         for cxn in grammar.constructions:
-            assert match(cxn.conditional, ts, grammar.procs) == \
-                match(cxn.conditional, _rebuilt(ts), grammar.procs), cxn.name
+            assert match(cxn.conditional, ts) == \
+                match(cxn.conditional, _rebuilt(ts)), cxn.name
     assert grammar_module.applied_names(late) == ("balls-noun", "plural-ball")
-    assert not match(ball_cat.conditional, early, grammar.procs)
-    assert match(ball_cat.conditional, late, grammar.procs)
+    assert not match(ball_cat.conditional, early)
+    assert match(ball_cat.conditional, late)
 
 
 def test_almond_search_stays_within_match_budget(grammar, ontology,
@@ -631,7 +691,7 @@ MARKS = Grammar(*parse_grammar("""
 def test_search_memo_changes_no_result(grammar, ontology, workloads,
                                       monkeypatch):
     # the search with its memo against the search that matches and merges
-    # afresh on every state, on the k = 3 probes too
+    # afresh on every state (a fresh memo each call), on the k = 3 probes too
     names = ("white-sugar", "almond-flour", "wheat-flour")
     cases = [(grammar, sentence, ()) for sentence in SEARCH_SENTENCES]
     for repeat in (False, True):
@@ -642,7 +702,7 @@ def test_search_memo_changes_no_result(grammar, ontology, workloads,
     with_memo = [_search_trace(*case) for case in cases]
     apply = grammar_module.apply_construction
     monkeypatch.setattr(grammar_module, "apply_construction",
-                        lambda cxn, ts, procs, memo=None: apply(cxn, ts, procs))
+                        lambda cxn, ts, memo: apply(cxn, ts, {}))
     assert [_search_trace(*case) for case in cases] == with_memo
 
 
@@ -667,7 +727,7 @@ def test_comprehension_does_not_keep_the_grammar_alive(ontology, data_dir):
     fresh = load_grammar(data_dir / "grammar.cxn", ontology)
     result = fresh.comprehend("Add the white sugar and the almond flour")
     assert result.succeeded
-    refs = [weakref.ref(x) for x in (fresh, fresh.procs, *fresh.constructions)]
+    refs = [weakref.ref(x) for x in (fresh, *fresh.constructions)]
     del fresh, result
     gc.collect()
     assert [r() for r in refs if r() is not None] == []
@@ -676,12 +736,11 @@ def test_comprehension_does_not_keep_the_grammar_alive(ontology, data_dir):
 def test_state_cap_is_reported(grammar, ontology, almond_result,
                                vanilla_result, monkeypatch):
     sentence = "Add the white sugar and the almond flour"
-    assert grammar.comprehend(sentence, max_states=5).truncated
     assert not grammar.comprehend(sentence).truncated
     for result in (almond_result, vanilla_result):
         assert not any(step.truncated for step in result.steps)
-    monkeypatch.setattr(grammar, "comprehend", functools.partial(
-        Grammar.comprehend, grammar, max_states=5))
+    monkeypatch.setattr(grammar_module, "MAX_STATES", 5)
+    assert grammar.comprehend(sentence).truncated
     ks, config = fresh_kitchen()
     session = CookingSession(grammar, ontology, ks, config)
     with pytest.raises(UnderstandingFailure, match="state cap"):

@@ -43,11 +43,9 @@ def test_parse_number_text_words_and_fractions():
 
 def test_registry_procedures(ontology):
     reg = make_registry(ontology)
-    from souschef.features import Compound
 
     def call(name, *args):
-        return reg.resolve(Compound(name, args, ()), __import__(
-            "souschef.features", fromlist=["Bindings"]).Bindings())
+        return reg[name](list(args))
 
     assert call("parse-number", Text("ten")) == Num(Fraction(10))
     assert call("parse-number", Text("soon")) == FAILURE
