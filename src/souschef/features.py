@@ -22,6 +22,12 @@ contribute ``form``, to ``root`` alone, so every pattern unit's form facts
 match against the root's form set. The lemmatizations run before the
 search, so the root stays fixed during it: no search step changes its form
 facts, and a grammar file lets no other construction write ``root``.
+A pattern unit's ``form`` may hold ``(absent FACT ...)`` groups, negation
+as failure: after the unit's guards, a binding set under which a group's
+facts jointly match the root's form facts is dropped. A variable only the
+group mentions is local to it and binds nothing. The root is fixed during
+the search, so under given bindings a group answers alike in every state.
+
 ``merge`` overlays a contributing pole under one binding set, unioning value
 sets and failing loudly on scalar conflicts. Both are pure: only a guard's
 calls are evaluated, and they read only their arguments and the ontology.
@@ -40,6 +46,13 @@ many search states share it:
 * ``Unit.feature_names`` is the set of its feature names, so ``match``
   and ``grammar.apply_construction`` test which pattern units a unit can
   stand for with one subset test.
+* ``PatternUnit.form_parts`` splits a pattern unit's form into its facts
+  and its ``absent`` groups; the grammar loader reads it, so each unit of
+  a grammar is split once, when the grammar is read.
+
+``match`` and ``_unify_subset`` recurse through module-level helpers that
+take all they use as arguments, so a call leaves no reference cycle for
+the garbage collector.
 """
 
 from __future__ import annotations
@@ -306,11 +319,11 @@ class Bindings:
 
     def walk(self, fv: FeatureValue) -> FeatureValue:
         """Follow variable chains to a terminal value (shallow)."""
-        seen = set()
+        steps = len(self._map)  # an acyclic chain visits each name once
         while isinstance(fv, Var) and fv.name in self._map:
-            if fv.name in seen:  # cannot happen under the occurs check
+            if not steps:  # cannot happen under the occurs check
                 raise StructuralError(f"binding cycle at ?{fv.name}")
-            seen.add(fv.name)
+            steps -= 1
             fv = self._map[fv.name]
         return fv
 
@@ -323,9 +336,9 @@ class Bindings:
             return None  # occurs check: would build an infinite term
         if name in self._map:
             raise StructuralError(f"rebinding ?{name}")
-        new = dict(self._map)
-        new[name] = value
-        return Bindings(new)
+        out = object.__new__(Bindings)  # skips __init__'s second copy
+        object.__setattr__(out, "_map", {**self._map, name: value})
+        return out
 
     def substitute(self, fv: FeatureValue) -> FeatureValue:
         """Deep substitution of every bound variable."""
@@ -444,6 +457,20 @@ class PatternUnit:
                 f"duplicate feature in pattern unit {name!r}: {names}"
             )
         return PatternUnit(name, feats)
+
+    @cached_property
+    def form_parts(self) -> tuple:
+        """(facts, absent groups): the compound facts of the ``form``
+        feature other than ``(absent FACT ...)``, and the facts of each
+        ``absent`` among them. The grammar loader reads it, so a grammar's
+        units split their form once, when it is read."""
+        facts, groups = [], []
+        for f in facts_of(dict(self.features).get(FORM_FEATURE)):
+            if f.name == ABSENT:
+                groups.append(f.args)
+            else:
+                facts.append(f)
+        return tuple(facts), tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -579,25 +606,29 @@ def _unify_subset(pmembers, tmembers, bindings,
     smallest bucket the screen names is visited, in ascending position.
     """
     out: list[Bindings] = []
-
-    def extend(k: int, env: Bindings, used: tuple) -> None:
-        if k == len(pmembers):
-            out.append(env)
-            return
-        first = pmembers[k]
-        screen = _literal_screen(env.walk(first), env)
-        for j in _candidates(screen, len(tmembers), index):
-            if j in used:
-                continue
-            t = tmembers[j]
-            if screen is not None and not _passes(screen, t):
-                continue
-            for env2 in unify(first, t, env):
-                extend(k + 1, env2, used + (j,))
-
-    extend(0, bindings, ())
+    _extend_subset(pmembers, tmembers, index, 0, bindings, (), out)
     # Deduplicate: different target orderings can reach identical bindings.
     return list(dict.fromkeys(out))
+
+
+def _extend_subset(pmembers, tmembers, index, k: int, env: Bindings,
+                   used: tuple, out: list) -> None:
+    """Append to out each extension of env matching pmembers[k:] to
+    distinct targets outside used, depth first."""
+    if k == len(pmembers):
+        out.append(env)
+        return
+    first = pmembers[k]
+    screen = _literal_screen(env.walk(first), env)
+    for j in _candidates(screen, len(tmembers), index):
+        if j in used:
+            continue
+        t = tmembers[j]
+        if screen is not None and not _passes(screen, t):
+            continue
+        for env2 in unify(first, t, env):
+            _extend_subset(pmembers, tmembers, index, k + 1, env2,
+                           used + (j,), out)
 
 
 def _candidates(screen: Optional[tuple], n: int, index: Optional[dict]):
@@ -643,6 +674,9 @@ def _passes(screen: tuple, target) -> bool:
 
 GUARD_FEATURE = "guard"
 FORM_FEATURE = "form"
+#: ``(absent FACT ...)`` among a conditional unit's form facts: the root
+#: holds no joint match of the facts
+ABSENT = "absent"
 
 #: Form facts whose first argument names the token a construction consumes.
 _TOKEN_FACTS = {"string", "lemma", "meets", "lb", "rb"}
@@ -679,45 +713,50 @@ def match(pattern_units: Iterable[PatternUnit],
             raise StructuralError(f"duplicate feature in pattern unit {pu.name!r}")
         required.append(frozenset(names) - {FORM_FEATURE, GUARD_FEATURE})
 
-    pool = ts.root.form_pool
-
     results: dict[tuple[Bindings, frozenset], None] = {}  # insertion-ordered
-
-    def attempt(idx: int, bindings: Bindings, used: frozenset,
-                touched: frozenset) -> None:
-        if idx == len(pattern_units):
-            results[bindings, touched] = None
-            return
-        pu = pattern_units[idx]
-        name = bindings.walk(pu.name) if isinstance(pu.name, Var) else pu.name
-
-        candidates: list[Optional[Unit]] = []
-        if isinstance(name, Var) and form_only(pu):
-            candidates = [None]  # a token unit: the root alone
-        elif isinstance(name, Sym):
-            u = ts.unit(name.name)
-            if u is not None and u.name not in used:
-                candidates = [u]
-        else:
-            candidates = [u for u in ts.units if u.name not in used]
-
-        for unit in candidates:
-            if unit is not None and not required[idx] <= unit.feature_names:
-                continue  # _match_unit would find no value to unify
-            env = bindings
-            if unit is not None and isinstance(name, Var):
-                env = env.bind(name.name, Sym(unit.name))
-                if env is None:
-                    continue
-            for env2, tch in _match_unit(pu, unit, pool, env, touched):
-                if unit is not None:
-                    attempt(idx + 1, env2, used | {unit.name}, tch)
-                elif not isinstance(env2.walk(name), Var):
-                    # the form facts must have named the token
-                    attempt(idx + 1, env2, used, tch)
-
-    attempt(0, Bindings(), frozenset(), frozenset())
+    _attempt(pattern_units, required, ts, 0, Bindings(), frozenset(),
+             frozenset(), results)
     return [MatchResult(env, touched) for env, touched in results]
+
+
+def _attempt(pattern_units: list, required: list, ts: TransientStructure,
+             idx: int, bindings: Bindings, used: frozenset,
+             touched: frozenset, results: dict) -> None:
+    """Record in results each (bindings, touched tokens) matching
+    pattern_units[idx:] to units outside used, depth first."""
+    if idx == len(pattern_units):
+        results[bindings, touched] = None
+        return
+    pu = pattern_units[idx]
+    name = bindings.walk(pu.name) if isinstance(pu.name, Var) else pu.name
+
+    candidates: list[Optional[Unit]] = []
+    if isinstance(name, Var) and form_only(pu):
+        candidates = [None]  # a token unit: the root alone
+    elif isinstance(name, Sym):
+        u = ts.unit(name.name)
+        if u is not None and u.name not in used:
+            candidates = [u]
+    else:
+        candidates = [u for u in ts.units if u.name not in used]
+
+    pool = ts.root.form_pool
+    for unit in candidates:
+        if unit is not None and not required[idx] <= unit.feature_names:
+            continue  # _match_unit would find no value to unify
+        env = bindings
+        if unit is not None and isinstance(name, Var):
+            env = env.bind(name.name, Sym(unit.name))
+            if env is None:
+                continue
+        for env2, tch in _match_unit(pu, unit, pool, env, touched):
+            if unit is not None:
+                _attempt(pattern_units, required, ts, idx + 1, env2,
+                         used | {unit.name}, tch, results)
+            elif not isinstance(env2.walk(name), Var):
+                # the form facts must have named the token
+                _attempt(pattern_units, required, ts, idx + 1, env2, used,
+                         tch, results)
 
 
 def form_only(pu: PatternUnit) -> bool:
@@ -774,15 +813,18 @@ def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
 
     Form facts unify against the root's form facts (`pool`, the root's
     ``form_pool``). A unit of None stands for a token unit: pu has only
-    form and guard features.
+    form and guard features. Each ``absent`` group is checked last, after
+    the guards, and rejects a binding set under which its facts jointly
+    match the root's; the bindings that match makes are dropped, so a
+    variable only the group mentions binds nothing.
     """
     facts_pool, index = pool
+    facts, absent = pu.form_parts
     stack = [(env, touched)]
     for fname, fvalue in pu.features:
         if fname == GUARD_FEATURE:
             continue  # guards run last, once other features bound things
         if fname == FORM_FEATURE:
-            facts = tuple(facts_of(fvalue))
             stack = [(env2, tch | _touched_tokens(facts, env2))
                      for env, tch in stack
                      for env2 in _unify_subset(facts, facts_pool, env, index)]
@@ -800,7 +842,9 @@ def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
         for fname, fvalue in pu.features:
             if fname == GUARD_FEATURE:
                 genvs = [e2 for e in genvs for e2 in _check_guards(fvalue, e)]
-        out.extend((genv, tch) for genv in genvs)
+        out.extend((genv, tch) for genv in genvs
+                   if not any(_unify_subset(group, facts_pool, genv, index)
+                              for group in absent))
     return out
 
 

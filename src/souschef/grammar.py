@@ -44,6 +44,14 @@ conditional unit named by a variable no earlier unit mentions and holding
 only ``form`` and ``guard`` features is a token unit, like ``?t`` above: it
 stands for the token its form facts name, so they must mention its name. A
 construction all of whose conditional units are token units is form-only.
+
+Among a conditional unit's form facts, ``(absent FACT ...)`` rejects a
+match under which the root jointly holds the FACTs (see ``features``). It
+holds one or more compound facts, none of them ``absent``, and stands in
+no lemmatization, since the lemmatizations grow the root. A variable it
+shares with the rest of its construction must occur outside any
+``absent`` in its unit or an earlier conditional unit; the others are
+local to it. A token unit names its token in its other form facts.
 Two more rules keep the layer of uncontested applications exact (see
 ``Grammar.comprehend``):
 
@@ -69,9 +77,10 @@ from .errors import (
     StructuralError, UnknownProcedureError,
 )
 from .features import (
-    FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Call, Compound, MatchResult,
-    Num, PatternUnit, Struct, Sym, Text, TransientStructure, Unit, ValueSet,
-    Var, fact, facts_of, form_only, match, merge, variables_in_order, vars_of,
+    ABSENT, FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Call, Compound,
+    MatchResult, Num, PatternUnit, Struct, Sym, Text, TransientStructure,
+    Unit, ValueSet, Var, fact, facts_of, form_only, match, merge,
+    variables_in_order, vars_of,
 )
 from .kitchen import PRIMITIVES
 from .memory import make_registry
@@ -299,6 +308,10 @@ def _parse_value(node: _Node, procs: dict, calls: bool = False):
                                      line=node.line)
         unit = rest[1].value if len(rest) == 2 else None
         return Num(value, unit)
+    if head == ABSENT:
+        raise GrammarSyntaxError(
+            "(absent FACT ...) may stand only among a unit's form facts",
+            line=node.line)
     if head == "struct":
         fields = []
         for r in rest:
@@ -340,8 +353,7 @@ def _parse_value(node: _Node, procs: dict, calls: bool = False):
 
 def _parse_guard(node: _Node, procs: dict):
     """A procedure call, or (equals X V) with V a value or a call."""
-    head = node.value[0] if node.kind == "list" and node.value else None
-    if head is not None and head.kind == "atom" and head.value == "equals":
+    if _head(node) == "equals":
         if len(node.value) != 3:
             raise GrammarSyntaxError("(equals X V) takes two arguments",
                                      line=node.line)
@@ -355,13 +367,33 @@ def _parse_guard(node: _Node, procs: dict):
     return guard
 
 
+def _parse_absent(node: _Node, procs: dict) -> Compound:
+    """(absent FACT ...): one or more compound facts, none of them absent."""
+    facts = [_parse_value(f, procs) if _head(f) != ABSENT else None
+             for f in node.value[1:]]
+    if not facts or not all(isinstance(f, Compound) for f in facts):
+        raise GrammarSyntaxError(
+            "(absent FACT ...) takes one or more compound facts, none of "
+            "them absent", line=node.line)
+    return Compound(ABSENT, tuple(facts))
+
+
+def _head(node: _Node) -> Optional[str]:
+    """The leading atom of a list node, else None."""
+    if node.kind == "list" and node.value and node.value[0].kind == "atom":
+        return node.value[0].value
+    return None
+
+
 def _parse_feature(node: _Node, procs: dict) -> tuple:
     if node.kind != "list" or not node.value or node.value[0].kind != "atom":
         raise GrammarSyntaxError("feature must be (name value ...)",
                                  line=node.line)
     fname = node.value[0].value
     parse = _parse_guard if fname == GUARD_FEATURE else _parse_value
-    values = [parse(v, procs) for v in node.value[1:]]
+    values = [_parse_absent(v, procs)
+              if fname == FORM_FEATURE and _head(v) == ABSENT
+              else parse(v, procs) for v in node.value[1:]]
     if not values:
         raise GrammarSyntaxError(f"feature {fname} has no value", line=node.line)
     if fname in (FORM_FEATURE, "meaning", GUARD_FEATURE) or len(values) > 1:
@@ -446,6 +478,11 @@ def _parse_cxn(node: _Node, procs: dict) -> Construction:
     bound = set(variables_in_order(conditional))
     for pole, pu, line in units:
         features = {f for f, _ in pu.features}
+        if pu.form_parts[1] and (pole == "contributing" or lemmatization):
+            raise GrammarSyntaxError(
+                f"construction {name}: (absent ...) may stand only in the "
+                f"conditional pole of a construction that is not a "
+                f"lemmatization", line=line)
         if pole == "conditional":
             ok = not lemmatization or form_only(pu)
         elif lemmatization:
@@ -475,12 +512,50 @@ def _parse_cxn(node: _Node, procs: dict) -> Construction:
                 f"write its token unit {pu.name!r}", line=line)
     lines = [line for pole, _, line in units if pole == "conditional"]
     for pu, token, line in zip(conditional, token_flags, lines):
-        if token and pu.name.name not in vars_of(
-                dict(pu.features).get(FORM_FEATURE)):
+        if token and not any(pu.name.name in vars_of(f)
+                             for f in pu.form_parts[0]):
             raise GrammarSyntaxError(
                 f"construction {name}: token unit {pu.name!r} must name "
                 f"its token in its own form facts", line=line)
+    _check_absent_scope(name, conditional, lines, [pu for _, pu, _ in units])
     return Construction(name, kind, score, conditional, poles["contributing"])
+
+
+def _check_absent_scope(name: str, conditional: tuple, lines: list,
+                        units: list) -> None:
+    """Each variable an ``absent`` group shares with the rest of its
+    construction occurs, outside the groups, in the group's unit or an
+    earlier conditional unit, so the match has bound it when the group is
+    checked. Every other variable of a group is local to it."""
+    groups = [vars_of(Compound(ABSENT, g))
+              for pu in conditional for g in pu.form_parts[1]]
+    if not groups:
+        return
+    in_groups = Counter(v for g in groups for v in g)
+    everywhere = set().union(*map(_vars_outside_absent, units))
+    earlier: set = set()
+    for pu, line in zip(conditional, lines):
+        here = _vars_outside_absent(pu)
+        for g in pu.form_parts[1]:
+            loose = {v for v in vars_of(Compound(ABSENT, g))
+                     if v in everywhere or in_groups[v] > 1} - here - earlier
+            if loose:
+                raise GrammarSyntaxError(
+                    f"construction {name}: (absent ...) shares "
+                    f"{', '.join(sorted('?' + v for v in loose))} with the "
+                    f"rest of the construction, but its unit and the "
+                    f"conditional units before it do not mention it outside "
+                    f"(absent ...)", line=line)
+        earlier |= here
+
+
+def _vars_outside_absent(pu: PatternUnit) -> set:
+    out = set(vars_of(pu.name))
+    for fname, value in pu.features:
+        if fname == FORM_FEATURE:
+            value = ValueSet(pu.form_parts[0])
+        out.update(vars_of(value))
+    return out
 
 
 def parse_grammar(text: str, procs: Optional[dict] = None) -> tuple:
@@ -653,13 +728,10 @@ def construction_anchors(cxn: Construction) -> frozenset:
     """
     out = set()
     for pu in cxn.conditional:
-        for fname, value in pu.features:
-            if fname != FORM_FEATURE:
-                continue
-            for f in facts_of(value):
-                a = _anchor(f)
-                if a is not None:
-                    out.add(a)
+        for f in pu.form_parts[0]:
+            a = _anchor(f)
+            if a is not None:
+                out.add(a)
     return frozenset(out)
 
 
@@ -733,6 +805,15 @@ class Grammar:
         key falls to ``content_key``. The search stops once it holds
         MAX_STATES states; the result is then ``truncated`` when a state
         was left unexpanded.
+
+        A conditional unit's ``(absent ...)`` groups read only the root's
+        form facts, which no search step changes, so the anchors, the touched
+        tokens, ``Construction.reads``, ``form_only`` and the match memo's
+        view of a state need not mention them. Anchors and touched tokens
+        come from the facts a match must find, never from absent ones; a
+        group changes no feature a unit must hold; and the view, which
+        decides when a match is reused, leaves out the root's form facts
+        because they stay fixed for the whole search.
 
         A child state differs from its parent by one merge, so the search
         keeps one memo, dropped when it returns, and matches and merges

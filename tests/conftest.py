@@ -1,6 +1,7 @@
 """Shared fixtures: bundled data, cached recipe runs, fresh kitchens."""
 
 import importlib
+import importlib.util
 import random
 from pathlib import Path
 
@@ -60,6 +61,16 @@ def grammar(ontology):
 @pytest.fixture(scope="session")
 def workloads():
     return perfbench_module("workloads")
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """``tools/corpus.py``, the comprehension fingerprints, as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()

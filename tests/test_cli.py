@@ -60,9 +60,9 @@ def test_understand_resolves_bundled_recipe_names(tmp_path):
 
 def test_truncated_steps_are_listed_without_changing_the_exit_code(
         tmp_path, capsys, monkeypatch):
-    # at a cap of ten states two almond steps stop early, yet each still
+    # at a cap of eight states two almond steps stop early, yet each still
     # finds a covering analysis and the recipe closes
-    monkeypatch.setattr(grammar_module, "MAX_STATES", 10)
+    monkeypatch.setattr(grammar_module, "MAX_STATES", 8)
     code = main(["understand", "--recipe", ALMOND_RECIPE,
                  "--out-dir", str(tmp_path / "out")])
     assert code == 0

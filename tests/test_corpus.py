@@ -2,13 +2,7 @@
 fingerprints that ``tools/corpus.py`` checks in full. The fixture is never
 rewritten silently (see that tool's docstring)."""
 
-import importlib.util
 import json
-from pathlib import Path
-
-import pytest
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "corpus.py"
 
 #: well under a second's worth: both bundled recipes, variants with two
 #: conjuncts in both forms, the probes up to k = 3 and every fifth salad
@@ -17,14 +11,6 @@ SUBSET = ("recipe/almond-crescent-cookies", "recipe/vanilla-butter-rounds",
           *(f"probe/k{k}-{form}" for k in (1, 2, 3)
             for form in ("and", "and-the")),
           *(f"salad/{i}" for i in range(0, 300, 5)))
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    spec = importlib.util.spec_from_file_location("corpus", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_corpus_subset_keeps_its_fingerprints(corpus, grammar, ontology,

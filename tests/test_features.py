@@ -30,6 +30,21 @@ def test_bind_occurs_check_rejects_cycles():
     assert b.bind("a", ValueSet([Var("a")])) is None
 
 
+def test_walk_reports_a_cycle_it_is_handed():
+    # bind's occurs check never builds one; a mapping given directly can
+    b = Bindings({"a": Var("b"), "b": Var("c"), "c": Var("a")})
+    with pytest.raises(StructuralError, match="binding cycle"):
+        b.walk(Var("a"))
+    assert Bindings({"a": Var("b"), "b": Sym("x")}).walk(Var("a")) == Sym("x")
+
+
+def test_bind_leaves_its_source_unchanged():
+    b = Bindings().bind("a", Sym("x"))
+    c = b.bind("b", Sym("y"))
+    assert len(b) == 1 and b.lookup("b") is None
+    assert c.lookup("a") == Sym("x") and c.lookup("b") == Sym("y")
+
+
 def test_rebinding_raises():
     b = Bindings().bind("a", Sym("x"))
     with pytest.raises(StructuralError):
