@@ -41,18 +41,34 @@ many search states share it:
   unit alone. Fresh names come from the applications that make them (see
   ``grammar.apply_construction``), so it needs no renumbering.
 * ``Unit.form_pool`` holds a root unit's form facts with their positions by
-  ``(name, arity)`` and by ``(name, arity, position, literal)``; ``match``
-  unifies pattern form facts against it. It depends on the unit alone.
+  ``(name, arity)`` and by ``(name, arity, position)`` with each literal
+  argument's kind and string; ``match`` tries pattern form facts against
+  it. It depends on the unit alone.
 * ``Unit.feature_names`` is the set of its feature names, so ``match``
   and ``grammar.apply_construction`` test which pattern units a unit can
   stand for with one subset test.
 * ``PatternUnit.form_parts`` splits a pattern unit's form into its facts
-  and its ``absent`` groups; the grammar loader reads it, so each unit of
-  a grammar is split once, when the grammar is read.
+  and its ``absent`` groups, ``PatternUnit.plan`` compiles a conditional
+  unit for ``match`` (``UnitPlan``) and ``PatternUnit.contributions`` marks
+  which contributing values hold no variable, so ``merge`` uses those as
+  they are. The grammar loader reads all three, so each unit of a grammar
+  is compiled once, when the grammar is read.
 
-``match`` and ``_unify_subset`` recurse through module-level helpers that
-take all they use as arguments, so a call leaves no reference cycle for
-the garbage collector.
+``match`` runs the unit plans depth first over one mutable binding map.
+Each bind is pushed on a trail; backtracking pops the trail back to where
+the branch began and deletes those names, so a bind copies nothing, and
+each complete match is copied into one immutable ``Bindings``. A bind
+substitutes the map into its value and makes the occurs check, as
+``Bindings.bind`` does. A state variable (``?x~...``) that a pattern
+variable is bound to is a name like any other: when the pattern variable
+is met again it walks to the unbound state variable, and that is bound in
+turn, so a match constrains the state's own variables just as ``unify``
+does. ``unify`` enumerates over the same kind of map; only a pattern
+holding a value set can match in more than one way.
+
+``match`` recurses through module-level helpers that take all they use as
+arguments, and ``merge`` builds no closure, so a call leaves no reference
+cycle for the garbage collector.
 """
 
 from __future__ import annotations
@@ -60,6 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, KeysView, Optional, Union
 
 from .errors import MergeFailure, StructuralError
@@ -421,8 +438,10 @@ class Unit:
     def form_pool(self) -> tuple:
         """(form facts, index) that ``match`` unifies form facts against.
 
-        The index maps ``(name, arity)``, and ``(name, arity, position,
-        literal)`` for each Text/Sym argument, to ascending fact positions.
+        The index maps ``(name, arity)``, and ``(name, arity, position)``
+        followed by ``_literal_key`` of each Text/Sym argument, to ascending
+        fact positions. Its keys hold only strings and ints, which hash
+        without a call into Python.
         """
         facts = tuple(self.get(FORM_FEATURE) or ())
         index: dict[tuple, list[int]] = {}
@@ -433,7 +452,8 @@ class Unit:
             index.setdefault(shape, []).append(j)
             for i, a in enumerate(f.args):
                 if isinstance(a, (Text, Sym)):
-                    index.setdefault(shape + (i, a), []).append(j)
+                    index.setdefault(shape + (i,) + _literal_key(a),
+                                     []).append(j)
         return facts, index
 
     @cached_property
@@ -472,6 +492,20 @@ class PatternUnit:
                 facts.append(f)
         return tuple(facts), tuple(groups)
 
+    @cached_property
+    def plan(self) -> "UnitPlan":
+        """This conditional unit compiled for ``match``; the grammar loader
+        reads it, so each unit of a grammar is compiled once, when it is
+        read."""
+        return UnitPlan(self)
+
+    @cached_property
+    def contributions(self) -> tuple:
+        """(feature, value, whether the value holds no variable) of each
+        feature, for ``merge``, which need not substitute into a value
+        without variables; the grammar loader reads it."""
+        return tuple((k, v, not vars_of(v)) for k, v in self.features)
+
 
 @dataclass(frozen=True)
 class TransientStructure:
@@ -498,14 +532,6 @@ class TransientStructure:
                 return u
         return None
 
-    def replace_unit(self, new_unit: Unit) -> "TransientStructure":
-        units = tuple(new_unit if u.name == new_unit.name else u for u in self.units)
-        return TransientStructure(units, self.applied, self.consumed)
-
-    def add_unit(self, new_unit: Unit) -> "TransientStructure":
-        return TransientStructure(self.units + (new_unit,), self.applied,
-                                  self.consumed)
-
     def content_key(self) -> tuple:
         """The sorted ``Unit.rendering`` of every unit, for duplicate-state
         detection during search.
@@ -515,6 +541,13 @@ class TransientStructure:
         their states collide, which is exactly what the search wants.
         """
         return tuple(sorted(u.rendering for u in self.units))
+
+
+def _literal_key(literal) -> tuple:
+    """The kind and string of a Sym or Text, for ``Unit.form_pool``'s
+    index."""
+    return ("sym", literal.name) if type(literal) is Sym \
+        else ("text", literal.text)
 
 
 def _render(fv) -> str:
@@ -532,141 +565,141 @@ def _render(fv) -> str:
 
 # ---------------------------------------------------------------------------
 # Unification (one-directional: pattern against target)
+#
+# The matcher extends one mutable map of variable bindings and records each
+# name it binds on a trail; backtracking pops the trail back to a mark and
+# deletes those names. Every helper undoes what it bound before it returns.
 
 
 def unify(pattern: FeatureValue, target: FeatureValue,
           bindings: Bindings) -> list[Bindings]:
-    """All binding extensions under which pattern subsumes target."""
-    pattern = bindings.walk(pattern)
+    """All binding extensions under which pattern subsumes target, in the
+    order ``match`` makes them. A binding cycle handed to ``Bindings``
+    raises StructuralError, as walking it does."""
+    for name in bindings._map:
+        bindings.walk(Var(name))
+    m = dict(bindings._map)
+    out: dict[Bindings, None] = {}
+    for _ in _unifications(bindings.walk(pattern), target, m, []):
+        out[_frozen(m)] = None
+    return list(out)
 
-    if isinstance(pattern, Var):
-        nb = bindings.bind(pattern.name, target)
-        return [nb] if nb is not None else []
 
-    if isinstance(pattern, Sym):
-        return [bindings] if isinstance(target, Sym) and target.name == pattern.name else []
+def _view(m: dict) -> Bindings:
+    """A ``Bindings`` over the live map m, for reading it (substitution,
+    guard calls) while m stays as it is."""
+    out = object.__new__(Bindings)
+    object.__setattr__(out, "_map", m)
+    return out
 
-    if isinstance(pattern, Text):
-        return [bindings] if isinstance(target, Text) and target.text == pattern.text else []
 
-    if isinstance(pattern, Num):
-        return [bindings] if isinstance(target, Num) and nums_equal(pattern, target) else []
+def _frozen(m: dict) -> Bindings:
+    """An immutable copy of the binding map m."""
+    return _view(dict(m))
 
-    if isinstance(pattern, Struct):
-        if not isinstance(target, Struct):
-            return []
-        envs = [bindings]
-        for k, pv in pattern.fields:
-            tv = target.get(k)
-            if tv is None:
-                return []
-            envs = [e2 for e in envs for e2 in unify(pv, tv, e)]
-            if not envs:
-                return []
-        return envs
 
-    if isinstance(pattern, Compound):
-        if not isinstance(target, Compound) or target.name != pattern.name:
-            return []
-        if len(target.args) != len(pattern.args):
-            return []
-        envs = [bindings]
-        for pa, ta in zip(pattern.args, target.args):
-            envs = [e2 for e in envs for e2 in unify(pa, ta, e)]
-            if not envs:
-                return []
-        for k, pv in pattern.kwargs:
-            tv = target.kwarg(k)
-            if tv is None:
-                return []
-            envs = [e2 for e in envs for e2 in unify(pv, tv, e)]
-            if not envs:
-                return []
-        return envs
+def _walk(fv, m: dict):
+    while type(fv) is Var and fv.name in m:
+        fv = m[fv.name]
+    return fv
 
-    if isinstance(pattern, ValueSet):
-        if not isinstance(target, ValueSet):
-            return []
-        return _unify_subset(tuple(pattern), tuple(target), bindings)
 
+def _undo(m: dict, trail: list, mark: int) -> None:
+    """Unbind every name bound since the trail held mark names."""
+    while len(trail) > mark:
+        del m[trail.pop()]
+
+
+_ATOMS = (Sym, Text, Num)
+
+
+def _bind(name: str, value, m: dict, trail: list) -> bool:
+    """Bind the unbound ?name to value as ``Bindings.bind`` does; False
+    when the occurs check fails. An atom value needs none of this, so the
+    matcher binds one directly."""
+    value = _view(m).substitute(value)
+    if isinstance(value, Var) and value.name == name:
+        return True  # trivial self-binding adds nothing
+    if name in vars_of(value):
+        return False  # occurs check: would build an infinite term
+    m[name] = value
+    trail.append(name)
+    return True
+
+
+def _unify_one(pattern, target, m: dict, trail: list) -> Optional[bool]:
+    """Extend m so that a pattern that walks to a variable or an atom
+    subsumes target: True when it does, False when it does not. None when
+    it walks to a value set, struct or compound, which ``_unifications``
+    enumerates."""
+    while type(pattern) is Var:
+        bound = m.get(pattern.name)
+        if bound is None:
+            return _bind(pattern.name, target, m, trail)
+        pattern = bound
+    kind = type(pattern)
+    if kind is Sym:
+        return type(target) is Sym and target.name == pattern.name
+    if kind is Text:
+        return type(target) is Text and target.text == pattern.text
+    if kind is Num:
+        return isinstance(target, Num) and nums_equal(pattern, target)
+    if kind is ValueSet or kind is Struct or isinstance(pattern, Compound):
+        return None
     raise StructuralError(f"unsupported pattern value: {pattern!r}")
 
 
-def _unify_subset(pmembers, tmembers, bindings,
-                  index: Optional[dict] = None) -> list[Bindings]:
-    """Each pattern member matches a distinct target member (backtracking).
-
-    A pattern fact such as ``(string ?t "beat")`` would otherwise be unified
-    with every fact of a form set. Targets are rejected before ``unify``
-    when their compound name or arity differs from the pattern's, or when a
-    ``Text``/``Sym`` argument of the pattern (after walking its bindings)
-    differs from the target's argument at that position. ``unify`` returns
-    no binding for exactly those targets, so the result and its order are
-    unchanged. With an ``index`` of tmembers (see ``Unit.form_pool``) only the
-    smallest bucket the screen names is visited, in ascending position.
-    """
-    out: list[Bindings] = []
-    _extend_subset(pmembers, tmembers, index, 0, bindings, (), out)
-    # Deduplicate: different target orderings can reach identical bindings.
-    return list(dict.fromkeys(out))
-
-
-def _extend_subset(pmembers, tmembers, index, k: int, env: Bindings,
-                   used: tuple, out: list) -> None:
-    """Append to out each extension of env matching pmembers[k:] to
-    distinct targets outside used, depth first."""
-    if k == len(pmembers):
-        out.append(env)
+def _unifications(pattern, target, m: dict, trail: list) -> Iterator[None]:
+    """Yield once for each way pattern subsumes target, with m extended;
+    each extension is undone before the next is made, and the last before
+    the generator ends. A value set matches as a subset, each member
+    against a distinct target member, in target order."""
+    pattern = _walk(pattern, m)
+    kind = type(pattern)
+    if kind is ValueSet:
+        if type(target) is ValueSet:
+            yield from _subsets(pattern.members, target.members, 0, (), m,
+                                trail)
         return
-    first = pmembers[k]
-    screen = _literal_screen(env.walk(first), env)
-    for j in _candidates(screen, len(tmembers), index):
-        if j in used:
-            continue
-        t = tmembers[j]
-        if screen is not None and not _passes(screen, t):
-            continue
-        for env2 in unify(first, t, env):
-            _extend_subset(pmembers, tmembers, index, k + 1, env2,
-                           used + (j,), out)
+    if kind is Struct:
+        if type(target) is not Struct:
+            return
+        pairs = [(pv, target.get(k)) for k, pv in pattern.fields]
+    elif isinstance(pattern, Compound):
+        if not isinstance(target, Compound) or target.name != pattern.name \
+                or len(target.args) != len(pattern.args):
+            return
+        pairs = list(zip(pattern.args, target.args))
+        pairs += [(pv, target.kwarg(k)) for k, pv in pattern.kwargs]
+    else:  # a variable or an atom
+        mark = len(trail)
+        if _unify_one(pattern, target, m, trail):
+            yield
+        _undo(m, trail, mark)
+        return
+    if all(tv is not None for _, tv in pairs):
+        yield from _sequence(pairs, 0, m, trail)
 
 
-def _candidates(screen: Optional[tuple], n: int, index: Optional[dict]):
-    """Target positions worth screening, ascending."""
-    if screen is None or index is None:
-        return range(n)
-    name, arity, literals = screen
-    best = index.get((name, arity), ())
-    for i, lit in literals:
-        bucket = index.get((name, arity, i, lit), ())
-        if len(bucket) < len(best):
-            best = bucket
-    return best
+def _sequence(pairs: list, i: int, m: dict, trail: list) -> Iterator[None]:
+    if i == len(pairs):
+        yield
+        return
+    pattern, target = pairs[i]
+    for _ in _unifications(pattern, target, m, trail):
+        yield from _sequence(pairs, i + 1, m, trail)
 
 
-def _literal_screen(pattern, bindings) -> Optional[tuple]:
-    """(name, arity, ((position, literal), ...)) of a compound pattern, or
-    None when the pattern is no compound."""
-    if not isinstance(pattern, Compound):
-        return None
-    literals = []
-    for i, a in enumerate(pattern.args):
-        a = bindings.walk(a)
-        if isinstance(a, (Text, Sym)):
-            literals.append((i, a))
-    return pattern.name, len(pattern.args), tuple(literals)
-
-
-def _passes(screen: tuple, target) -> bool:
-    name, arity, literals = screen
-    if not isinstance(target, Compound) or target.name != name \
-            or len(target.args) != arity:
-        return False
-    args = target.args
-    for i, lit in literals:
-        if args[i] != lit:
-            return False
-    return True
+def _subsets(pmembers: tuple, tmembers: tuple, i: int, used: tuple,
+             m: dict, trail: list) -> Iterator[None]:
+    if i == len(pmembers):
+        yield
+        return
+    for j, target in enumerate(tmembers):
+        if j not in used:
+            for _ in _unifications(pmembers[i], target, m, trail):
+                yield from _subsets(pmembers, tmembers, i + 1, used + (j,),
+                                    m, trail)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +721,117 @@ class MatchResult:
     touched_tokens: frozenset  # token ids referenced through matched form facts
 
 
+class FactPlan:
+    """A pattern form fact compiled for ``match``.
+
+    ``shape`` is its ``(name, arity)`` index key and ``keys`` the index key
+    of each ``Text``/``Sym`` argument (see ``Unit.form_pool``); ``probes``
+    pairs the key prefix of each variable argument with the variable's
+    name, which gives a key once it is bound to a ``Text`` or ``Sym``.
+    """
+
+    __slots__ = ("fact", "shape", "keys", "probes")
+
+    def __init__(self, fact: Compound):
+        self.fact = fact
+        self.shape = (fact.name, len(fact.args))
+        self.keys = tuple(self.shape + (i,) + _literal_key(a)
+                          for i, a in enumerate(fact.args)
+                          if type(a) in (Text, Sym))
+        self.probes = tuple((self.shape + (i,), a.name)
+                            for i, a in enumerate(fact.args) if type(a) is Var)
+
+    def targets(self, index: dict, m: dict):
+        """Positions of the root's form facts that may match, ascending:
+        the smallest index bucket its literal arguments name, its bound
+        variables included."""
+        best = index.get(self.shape, ())
+        for key in self.keys:
+            bucket = index.get(key, ())
+            if len(bucket) < len(best):
+                best = bucket
+        for prefix, name in self.probes:
+            v = m.get(name)
+            while type(v) is Var and v.name in m:
+                v = m[v.name]
+            if type(v) is Sym:
+                bucket = index.get(prefix + ("sym", v.name), ())
+            elif type(v) is Text:
+                bucket = index.get(prefix + ("text", v.text), ())
+            else:
+                continue
+            if len(bucket) < len(best):
+                best = bucket
+        return best
+
+
+#: ``UnitPlan.ops`` codes: a feature read from the counterpart unit, a form
+#: fact, the tokens the form facts touched, a guard, the ``absent`` groups
+_FEATURE, _FACT, _TOUCH, _GUARD, _ABSENT = range(5)
+
+
+class UnitPlan:
+    """A pattern unit compiled when its grammar is read.
+
+    ``form_only``: it holds only form and guard features, so while its name
+    is an unbound variable it is a token unit and reads the root alone.
+    ``required``: the features a counterpart unit must hold. ``ops``: what
+    ``match`` does, in order: each feature other than guards in the unit's
+    order, the form feature as one ``_FACT`` per fact followed by a
+    ``_TOUCH`` with the token ids among the arguments of its token facts
+    (symbols named ``t<i>-<word>``) and the variables among them; then each
+    guard, then the ``absent`` groups as tuples of ``FactPlan``.
+    """
+
+    __slots__ = ("name", "form_only", "required", "ops")
+
+    def __init__(self, pu: "PatternUnit"):
+        names = frozenset(k for k, _ in pu.features)
+        facts, groups = pu.form_parts
+        ops: list[tuple] = []
+        guards: tuple = ()
+        for fname, value in pu.features:
+            if fname == GUARD_FEATURE:
+                guards = tuple(value)
+            elif fname == FORM_FEATURE:
+                ops += [(_FACT, FactPlan(f)) for f in facts]
+                args = [a for f in facts if f.name in _TOKEN_FACTS
+                        for a in f.args]
+                if args:
+                    ops.append((_TOUCH, frozenset(
+                        a.name for a in args if type(a) is Sym
+                        and a.name.startswith("t") and "-" in a.name), tuple(
+                        a for a in args if type(a) is Var)))
+            else:
+                ops.append((_FEATURE, fname, value))
+        ops += [(_GUARD, g) for g in guards]
+        if groups:
+            ops.append((_ABSENT, tuple(tuple(map(FactPlan, g))
+                                       for g in groups)))
+        self.name = pu.name
+        self.form_only = names <= {FORM_FEATURE, GUARD_FEATURE}
+        self.required = names - {FORM_FEATURE, GUARD_FEATURE}
+        self.ops = tuple(ops)
+
+
+class _Run:
+    """One ``match`` call's state: the plans, the structure's units and the
+    root's form pool, the binding map with its trail, a ``Bindings`` view of
+    the map for guard calls, and the results so far."""
+
+    __slots__ = ("plans", "ts", "facts", "index", "m", "trail", "view",
+                 "results")
+
+    def __init__(self, plans: tuple, ts: TransientStructure):
+        self.plans = plans
+        self.ts = ts
+        self.facts, self.index = ts.root.form_pool
+        self.m: dict = {}
+        self.trail: list = []
+        self.view = _view(self.m)
+        self.results: dict = {}
+
+
 def match(pattern_units: Iterable[PatternUnit],
           ts: TransientStructure) -> list[MatchResult]:
     """Match a conditional pole against a transient structure.
@@ -695,6 +839,13 @@ def match(pattern_units: Iterable[PatternUnit],
     Returns every surviving binding set (empty list = no match). The result
     is a set: its order is deterministic and independent of target-unit
     order.
+
+    The units' plans (``PatternUnit.plan``) run depth first: each unit
+    against each unit of ts that holds its required features, in ts order,
+    then its ops in order. One binding map is extended on a trail and
+    unwound on backtracking; each complete match is copied into one
+    ``Bindings``, and a binding set reached twice is kept once, where it
+    was first reached.
 
     A token unit, named by an unbound variable and holding only form and
     guard features, binds through the root's form facts alone: it stands
@@ -705,64 +856,193 @@ def match(pattern_units: Iterable[PatternUnit],
     gives; ``merge`` reads nothing else. A token unit whose form facts do
     not bind its name matches nothing (grammar files reject one).
     """
-    pattern_units = list(pattern_units)
-    required = []  # per pattern unit: features a counterpart unit must have
-    for pu in pattern_units:
-        names = [k for k, _ in pu.features]
-        if len(names) != len(set(names)):
-            raise StructuralError(f"duplicate feature in pattern unit {pu.name!r}")
-        required.append(frozenset(names) - {FORM_FEATURE, GUARD_FEATURE})
-
-    results: dict[tuple[Bindings, frozenset], None] = {}  # insertion-ordered
-    _attempt(pattern_units, required, ts, 0, Bindings(), frozenset(),
-             frozenset(), results)
-    return [MatchResult(env, touched) for env, touched in results]
+    run = _Run(tuple(pu.plan for pu in pattern_units), ts)
+    _match_from(run, 0, (), frozenset())
+    return [MatchResult(env, touched) for env, touched in run.results]
 
 
-def _attempt(pattern_units: list, required: list, ts: TransientStructure,
-             idx: int, bindings: Bindings, used: frozenset,
-             touched: frozenset, results: dict) -> None:
-    """Record in results each (bindings, touched tokens) matching
-    pattern_units[idx:] to units outside used, depth first."""
-    if idx == len(pattern_units):
-        results[bindings, touched] = None
+def _match_from(run: _Run, idx: int, used: tuple, touched: frozenset) -> None:
+    """Match run.plans[idx:] to units not named in used, depth first, and
+    record each complete binding set with its touched tokens."""
+    if idx == len(run.plans):
+        run.results[_frozen(run.m), touched] = None
         return
-    pu = pattern_units[idx]
-    name = bindings.walk(pu.name) if isinstance(pu.name, Var) else pu.name
-
-    candidates: list[Optional[Unit]] = []
-    if isinstance(name, Var) and form_only(pu):
-        candidates = [None]  # a token unit: the root alone
-    elif isinstance(name, Sym):
-        u = ts.unit(name.name)
-        if u is not None and u.name not in used:
-            candidates = [u]
+    plan = run.plans[idx]
+    name = _walk(plan.name, run.m)
+    if type(name) is Var and plan.form_only:
+        _try_unit(run, idx, None, name, used, touched)  # the root alone
+        return
+    if type(name) is Sym:
+        unit = run.ts.unit(name.name)
+        units = (unit,) if unit is not None else ()
     else:
-        candidates = [u for u in ts.units if u.name not in used]
+        units = run.ts.units
+    required = plan.required
+    for unit in units:
+        if unit.name not in used and required <= unit.feature_names:
+            _try_unit(run, idx, unit, name, used + (unit.name,), touched)
 
-    pool = ts.root.form_pool
-    for unit in candidates:
-        if unit is not None and not required[idx] <= unit.feature_names:
-            continue  # _match_unit would find no value to unify
-        env = bindings
-        if unit is not None and isinstance(name, Var):
-            env = env.bind(name.name, Sym(unit.name))
-            if env is None:
+
+def _try_unit(run: _Run, idx: int, unit: Optional[Unit], name, used: tuple,
+              touched: frozenset) -> None:
+    """One unit trial: run.plans[idx] against unit, or against the root
+    alone when unit is None; a variable name is bound to the unit's."""
+    if unit is not None and type(name) is Var:
+        run.m[name.name] = Sym(unit.name)
+        run.trail.append(name.name)
+        _run_ops(run, idx, 0, unit, name, used, (), touched)
+        del run.m[run.trail.pop()]
+    else:
+        _run_ops(run, idx, 0, unit, name, used, (), touched)
+
+
+def _run_ops(run: _Run, idx: int, k: int, unit: Optional[Unit], name,
+             used: tuple, used_facts: tuple, touched: frozenset) -> None:
+    """Run ops k onward of run.plans[idx] against unit, then the units
+    after it. An op with one outcome runs in this frame; one that branches
+    (a form fact, a value set) recurses for each branch. used_facts: the
+    root's form facts the unit's facts matched so far; each matches a
+    distinct one."""
+    ops = run.plans[idx].ops
+    n = len(ops)
+    m, trail = run.m, run.trail
+    mark = len(trail)
+    while k < n:
+        op = ops[k]
+        code = op[0]
+        if code == _FEATURE:
+            pattern, target = op[2], unit.get(op[1])
+            kind = type(pattern)
+            if kind is Var and pattern.name not in m \
+                    and type(target) in _ATOMS:
+                m[pattern.name] = target  # as _bind makes it
+                trail.append(pattern.name)
+                k += 1
                 continue
-        for env2, tch in _match_unit(pu, unit, pool, env, touched):
-            if unit is not None:
-                _attempt(pattern_units, required, ts, idx + 1, env2,
-                         used | {unit.name}, tch, results)
-            elif not isinstance(env2.walk(name), Var):
-                # the form facts must have named the token
-                _attempt(pattern_units, required, ts, idx + 1, env2, used,
-                         tch, results)
+            if kind is Sym:
+                if type(target) is not Sym or target.name != pattern.name:
+                    break
+                k += 1
+                continue
+            here = len(trail)
+            done = _unify_one(pattern, target, m, trail)
+            if done is None:
+                _undo(m, trail, here)
+                for _ in _unifications(pattern, target, m, trail):
+                    _run_ops(run, idx, k + 1, unit, name, used, used_facts,
+                             touched)
+            if not done:
+                break
+        elif code == _FACT:
+            fp = op[1]
+            for j in fp.targets(run.index, m):
+                if j not in used_facts:
+                    here = len(trail)
+                    done = _try_fact(fp, run.facts[j], m, trail)
+                    if done is None:
+                        _undo(m, trail, here)
+                        for _ in _unifications(fp.fact, run.facts[j], m,
+                                               trail):
+                            _run_ops(run, idx, k + 1, unit, name, used,
+                                     used_facts + (j,), touched)
+                    elif done:
+                        _run_ops(run, idx, k + 1, unit, name, used,
+                                 used_facts + (j,), touched)
+                    while len(trail) > here:  # _undo, inline on the hot path
+                        del m[trail.pop()]
+            break
+        elif code == _TOUCH:
+            tokens = op[1].union(
+                v.name for v in map(_walk, op[2], repeat(m))
+                if type(v) is Sym and v.name.startswith("t")
+                and "-" in v.name)
+            if not tokens <= touched:
+                touched = touched | tokens
+        elif code == _GUARD:
+            guard = op[1]
+            if isinstance(guard, Call):
+                if guard.evaluate(run.view) in (FAILURE, FALSE):
+                    break
+            else:
+                lhs, rhs = guard.args
+                rhs = rhs.evaluate(run.view) if isinstance(rhs, Call) \
+                    else run.view.substitute(rhs)
+                if rhs == FAILURE or rhs == FALSE:
+                    break
+                here = len(trail)
+                done = _unify_one(lhs, rhs, m, trail)
+                if done is None:
+                    _undo(m, trail, here)
+                    for _ in _unifications(lhs, rhs, m, trail):
+                        _run_ops(run, idx, k + 1, unit, name, used,
+                                 used_facts, touched)
+                if not done:
+                    break
+        elif any(_holds(run, group, 0, ()) for group in op[1]):  # _ABSENT
+            break
+        k += 1
+    else:
+        # a token unit's form facts must have named its token
+        if unit is not None or type(_walk(name, m)) is not Var:
+            _match_from(run, idx + 1, used, touched)
+    while len(trail) > mark:
+        del m[trail.pop()]
 
 
-def form_only(pu: PatternUnit) -> bool:
-    """pu holds only form and guard features: it reads nothing but the
-    root's form facts."""
-    return all(k in (FORM_FEATURE, GUARD_FEATURE) for k, _ in pu.features)
+def _try_fact(fp: FactPlan, target: Compound, m: dict,
+              trail: list) -> Optional[bool]:
+    """One fact trial: ``_unify_one`` over the arguments of a form fact and
+    a root form fact of its shape, None where that gives None or the fact
+    has keyword arguments. Form facts hold variables, symbols and texts, so
+    those cases run here without a further call."""
+    if fp.fact.kwargs:
+        return None
+    for pa, ta in zip(fp.fact.args, target.args):
+        while type(pa) is Var:
+            bound = m.get(pa.name)
+            if bound is None:
+                break
+            pa = bound
+        kind = type(pa)
+        if kind is Var and type(ta) in _ATOMS:
+            m[pa.name] = ta  # an atom resolves to itself and holds no variable
+            trail.append(pa.name)
+        elif kind is Sym:
+            if type(ta) is not Sym or ta.name != pa.name:
+                return False
+        elif kind is Text:
+            if type(ta) is not Text or ta.text != pa.text:
+                return False
+        else:
+            done = _unify_one(pa, ta, m, trail)
+            if not done:
+                return done
+    return True
+
+
+def _holds(run: _Run, group: tuple, i: int, used: tuple) -> bool:
+    """Whether the facts group[i:] jointly match distinct root form facts
+    not in used, under run's bindings; binds nothing."""
+    if i == len(group):
+        return True
+    fp = group[i]
+    m, trail = run.m, run.trail
+    for j in fp.targets(run.index, m):
+        if j in used:
+            continue
+        here = len(trail)
+        done = _try_fact(fp, run.facts[j], m, trail)
+        if done is None:
+            _undo(m, trail, here)
+            done = any(_holds(run, group, i + 1, used + (j,))
+                       for _ in _unifications(fp.fact, run.facts[j], m,
+                                              trail))
+        elif done:
+            done = _holds(run, group, i + 1, used + (j,))
+        _undo(m, trail, here)
+        if done:
+            return True
+    return False
 
 
 def facts_of(value) -> list[Compound]:
@@ -771,81 +1051,6 @@ def facts_of(value) -> list[Compound]:
     if isinstance(value, Compound):
         return [value]
     return []
-
-
-def _touched_tokens(facts, env) -> set[str]:
-    out = set()
-    for f in facts:
-        f = env.substitute(f)
-        if isinstance(f, Compound) and f.name in _TOKEN_FACTS:
-            for a in f.args:
-                if isinstance(a, Sym) and a.name.startswith("t") and "-" in a.name:
-                    out.add(a.name)
-    return out
-
-
-def _check_guards(guards: ValueSet, bindings) -> list[Bindings]:
-    """Evaluate guard terms: a ``Call`` must not fail, and ``(equals X V)``
-    unifies X with V, a call's value when V is a ``Call``."""
-    envs = [bindings]
-    for g in guards:
-        nxt = []
-        for env in envs:
-            if isinstance(g, Call):
-                if g.evaluate(env) not in (FAILURE, FALSE):
-                    nxt.append(env)
-                continue
-            lhs, rhs = g.args
-            rhs = rhs.evaluate(env) if isinstance(rhs, Call) \
-                else env.substitute(rhs)
-            if rhs != FAILURE and rhs != FALSE:
-                nxt.extend(unify(lhs, rhs, env))
-        envs = nxt
-        if not envs:
-            return []
-    return envs
-
-
-def _match_unit(pu: PatternUnit, unit: Optional[Unit], pool: tuple,
-                env: Bindings,
-                touched: frozenset) -> list[tuple[Bindings, frozenset]]:
-    """(bindings, touched tokens) under which pu matches unit.
-
-    Form facts unify against the root's form facts (`pool`, the root's
-    ``form_pool``). A unit of None stands for a token unit: pu has only
-    form and guard features. Each ``absent`` group is checked last, after
-    the guards, and rejects a binding set under which its facts jointly
-    match the root's; the bindings that match makes are dropped, so a
-    variable only the group mentions binds nothing.
-    """
-    facts_pool, index = pool
-    facts, absent = pu.form_parts
-    stack = [(env, touched)]
-    for fname, fvalue in pu.features:
-        if fname == GUARD_FEATURE:
-            continue  # guards run last, once other features bound things
-        if fname == FORM_FEATURE:
-            stack = [(env2, tch | _touched_tokens(facts, env2))
-                     for env, tch in stack
-                     for env2 in _unify_subset(facts, facts_pool, env, index)]
-        else:
-            tv = unit.get(fname)
-            if tv is None:
-                return []
-            stack = [(env2, tch) for env, tch in stack
-                     for env2 in unify(fvalue, tv, env)]
-        if not stack:
-            return []
-    out = []
-    for env, tch in stack:
-        genvs = [env]
-        for fname, fvalue in pu.features:
-            if fname == GUARD_FEATURE:
-                genvs = [e2 for e in genvs for e2 in _check_guards(fvalue, e)]
-        out.extend((genv, tch) for genv in genvs
-                   if not any(_unify_subset(group, facts_pool, genv, index)
-                              for group in absent))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -859,9 +1064,10 @@ def merge(contribution: Iterable[PatternUnit], target: TransientStructure,
     Value sets union; equal scalars are idempotent; conflicting scalars raise
     MergeFailure with the feature path. The input structure is never touched.
     A unit-name variable ``?v`` left unbound names a new unit ``unit-v`` and
-    is bound to it.
+    is bound to it. A written unit keeps its place; new units follow the
+    others in the order made.
     """
-    ts = target
+    units = {u.name: u for u in target.units}
     env = bindings
     for pu in contribution:
         name = env.walk(pu.name) if isinstance(pu.name, Var) else pu.name
@@ -872,13 +1078,9 @@ def merge(contribution: Iterable[PatternUnit], target: TransientStructure,
                 raise MergeFailure(str(name), name, Sym(fresh))
             env = nb
             name = Sym(fresh)
-        unit = ts.unit(name.name)
-        created = False
-        if unit is None:
-            unit = Unit(name.name)
-            created = True
-        for fname, fvalue in pu.features:
-            value = env.substitute(fvalue)
+        unit = units.get(name.name) or Unit(name.name)
+        for fname, fvalue, ground in pu.contributions:
+            value = fvalue if ground else env.substitute(fvalue)
             existing = unit.get(fname)
             if existing is None:
                 unit = unit.with_feature(fname, value)
@@ -888,8 +1090,9 @@ def merge(contribution: Iterable[PatternUnit], target: TransientStructure,
                 pass  # idempotent re-contribution
             else:
                 raise MergeFailure(f"{unit.name}/{fname}", existing, value)
-        ts = ts.add_unit(unit) if created else ts.replace_unit(unit)
-    return ts
+        units[unit.name] = unit
+    return TransientStructure(tuple(units.values()), target.applied,
+                              target.consumed)
 
 
 def _scalars_equal(a, b) -> bool:

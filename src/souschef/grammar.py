@@ -65,6 +65,7 @@ A grammar that breaks these rules fails to load with GrammarSyntaxError.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,7 +80,7 @@ from .errors import (
 from .features import (
     ABSENT, FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Call, Compound,
     MatchResult, Num, PatternUnit, Struct, Sym, Text, TransientStructure,
-    Unit, ValueSet, Var, fact, facts_of, form_only, match, merge,
+    Unit, ValueSet, Var, fact, facts_of, match, merge,
     variables_in_order, vars_of,
 )
 from .kitchen import PRIMITIVES
@@ -184,9 +185,8 @@ class Construction:
         unit, the features a unit must hold to stand for it; and all those
         features, sorted. ``match`` reads no other feature of a unit."""
         tokens = _token_units(self.conditional)
-        required = tuple(
-            frozenset(k for k, _ in pu.features) - {FORM_FEATURE, GUARD_FEATURE}
-            for pu, token in zip(self.conditional, tokens) if not token)
+        required = tuple(pu.plan.required for pu, token
+                         in zip(self.conditional, tokens) if not token)
         return required, tuple(sorted(frozenset().union(*required)))
 
 
@@ -197,7 +197,7 @@ def _token_units(conditional: tuple) -> list:
     out = []
     for pu in conditional:
         out.append(isinstance(pu.name, Var) and pu.name.name not in seen
-                   and form_only(pu))
+                   and pu.plan.form_only)
         seen.update(variables_in_order((pu,)))
     return out
 
@@ -210,64 +210,55 @@ class _Node:
     line: int
 
 
+#: The tokens of a grammar file, blanks left out: a newline, "(", ")", a
+#: string, a quote that opens no well-formed string, a comment, an atom. A
+#: backslash in a string takes the next character as it is, a newline too,
+#: and that newline counts no line.
+_TOKEN = re.compile(r'''\n|\(|\)|"(?:[^"\\\n]|\\[\s\S])*"|"|;[^\n]*|[^ \t\r\n();"]+''')
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
 def _read_sexprs(text: str) -> list:
     nodes = []
     stack: list[_Node] = []
-    i, line = 0, 1
-    n = len(text)
-
-    def emit(node: _Node):
-        if stack:
-            stack[-1].value.append(node)
-        else:
-            nodes.append(node)
-
-    while i < n:
-        c = text[i]
+    line = 1
+    for token in _TOKEN.findall(text):
+        c = token[0]
         if c == "\n":
             line += 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
         elif c == "(":
             node = _Node("list", [], line)
-            if stack:
-                stack[-1].value.append(node)
-            else:
-                nodes.append(node)
+            (stack[-1].value if stack else nodes).append(node)
             stack.append(node)
-            i += 1
         elif c == ")":
             if not stack:
                 raise GrammarSyntaxError("unbalanced ')'", line=line)
             stack.pop()
-            i += 1
-        elif c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise GrammarSyntaxError("newline inside string", line=line)
-                if text[j] == "\\" and j + 1 < n:
-                    j += 1
-                buf.append(text[j])
-                j += 1
-            if j >= n:
-                raise GrammarSyntaxError("unterminated string", line=line)
-            emit(_Node("string", "".join(buf), line))
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"':
-                j += 1
-            emit(_Node("atom", text[i:j], line))
-            i = j
+        elif c != ";":
+            if token == '"':
+                _bad_string(text, line)
+            node = _Node("atom", token, line) if c != '"' else \
+                _Node("string", _ESCAPE.sub(_unescape, token[1:-1]), line)
+            (stack[-1].value if stack else nodes).append(node)
     if stack:
         raise GrammarSyntaxError("unbalanced '('", line=stack[-1].line)
     return nodes
+
+
+def _unescape(escape: re.Match) -> str:
+    return escape.group(1)
+
+
+def _bad_string(text: str, line: int) -> None:
+    """Raise the error of the first string in text that does not close,
+    which opens on line: a newline inside it, or the end of the text."""
+    i = next(t.start() for t in _TOKEN.finditer(text) if t.group() == '"')
+    j = i + 1
+    while j < len(text) and text[j] != '"':
+        if text[j] == "\n":
+            raise GrammarSyntaxError("newline inside string", line=line)
+        j += 2 if text[j] == "\\" else 1
+    raise GrammarSyntaxError("unterminated string", line=line)
 
 
 def _atom_value(s: str, line: int):
@@ -278,10 +269,14 @@ def _atom_value(s: str, line: int):
             raise GrammarSyntaxError(
                 f"variable {s}: '~' is reserved for fresh variables", line=line)
         return Var(s[1:])
-    try:
-        return Num(Fraction(s))
-    except (ValueError, ZeroDivisionError):
-        return Sym(s)
+    # Fraction reads only text that starts, after blanks and a sign, with
+    # a digit or a point; any other atom is a symbol, without a failed parse
+    if s[0] in "+-." or s[0].isdigit() or s[0].isspace():
+        try:
+            return Num(Fraction(s))
+        except (ValueError, ZeroDivisionError):
+            pass
+    return Sym(s)
 
 
 def _parse_value(node: _Node, procs: dict, calls: bool = False):
@@ -477,14 +472,17 @@ def _parse_cxn(node: _Node, procs: dict) -> Construction:
     read = {pu.name for pu in conditional} - {Sym(ROOT)}
     bound = set(variables_in_order(conditional))
     for pole, pu, line in units:
-        features = {f for f, _ in pu.features}
+        # a contributing unit's feature names come from its contributions,
+        # so its values are marked for merge once, as the grammar is read
+        features = {f for f, _ in pu.features} if pole == "conditional" \
+            else {f for f, _, _ in pu.contributions}
         if pu.form_parts[1] and (pole == "contributing" or lemmatization):
             raise GrammarSyntaxError(
                 f"construction {name}: (absent ...) may stand only in the "
                 f"conditional pole of a construction that is not a "
                 f"lemmatization", line=line)
         if pole == "conditional":
-            ok = not lemmatization or form_only(pu)
+            ok = not lemmatization or pu.plan.form_only
         elif lemmatization:
             ok = pu.name == Sym(ROOT) and features == {FORM_FEATURE}
         else:
@@ -993,50 +991,54 @@ class _Aliases:
 
 
 def _links(facts: list) -> tuple:
-    """(aliases, canon, groups) of the meaning facts: the union-find of the
-    ``same`` links, a term with each variable replaced by its alias, and
-    each ``collect`` group's canonical members by group variable."""
+    """(aliases, groups) of the meaning facts: the union-find of the
+    ``same`` links, and each ``collect`` group's canonical members (see
+    ``_canon``) by group variable."""
     aliases = _Aliases()
     for f in facts:
         if f.name == "same":
             if len(f.args) != 2 or not all(isinstance(a, Var) for a in f.args):
                 raise StructuralError(f"malformed same link: {f!r}")
             aliases.union(f.args[0].name, f.args[1].name)
-
-    def canon(term):
-        if isinstance(term, Var):
-            return Var(aliases.find(term.name))
-        if isinstance(term, ValueSet):
-            return ValueSet(canon(m) for m in term)
-        if isinstance(term, Struct):
-            return Struct([(k, canon(v)) for k, v in term.fields])
-        return term
-
     groups: dict[str, ValueSet] = {}
     for f in facts:
         if f.name == "collect":
             if not f.args or not isinstance(f.args[0], Var):
                 raise StructuralError(f"malformed collect: {f!r}")
             g = aliases.find(f.args[0].name)
-            members = ValueSet(canon(a) for a in f.args[1:])
+            members = ValueSet(_canon(a, aliases) for a in f.args[1:])
             groups[g] = groups[g].union(members) if g in groups else members
-    return aliases, canon, groups
+    return aliases, groups
+
+
+def _canon(term, aliases: _Aliases):
+    """term with each variable replaced by its alias."""
+    if isinstance(term, Var):
+        return Var(aliases.find(term.name))
+    if isinstance(term, ValueSet):
+        return ValueSet(_canon(m, aliases) for m in term)
+    if isinstance(term, Struct):
+        return Struct([(k, _canon(v, aliases)) for k, v in term.fields])
+    return term
+
+
+def _expand(term, aliases: _Aliases, groups: dict):
+    """The canonical term with each group replaced by its members, nested
+    sets flattened."""
+    term = _canon(term, aliases)
+    if isinstance(term, Var) and term.name in groups:
+        term = groups[term.name]
+    if isinstance(term, ValueSet):
+        members = [_expand(m, aliases, groups) for m in term]
+        return ValueSet(x for m in members
+                        for x in (m if isinstance(m, ValueSet) else (m,)))
+    return term
 
 
 def extract_fragment(result: ComprehensionResult) -> PlanFragment:
     """Read the winning state's meaning predicates into a plan fragment."""
     facts = _meaning_facts(result.structure)
-    aliases, canon, groups = _links(facts)
-
-    def expand(term):  # groups replaced by their members, flattened
-        term = canon(term)
-        if isinstance(term, Var) and term.name in groups:
-            term = groups[term.name]
-        if isinstance(term, ValueSet):
-            return ValueSet(x for m in map(expand, term)
-                            for x in (m if isinstance(m, ValueSet) else (m,)))
-        return term
-
+    aliases, groups = _links(facts)
     fragment = PlanFragment()
     slot_facts: dict[str, list] = {}
     actions: list[tuple[str, str]] = []  # (call var, primitive)
@@ -1081,7 +1083,7 @@ def extract_fragment(result: ComprehensionResult) -> PlanFragment:
             if spec.slot_type(role) is None:
                 raise StructuralError(
                     f"{primitive} has no slot named {role}")
-            value = expand(term)
+            value = _expand(term, aliases, groups)
             if role in present and present[role] != value:
                 prev = present[role]
                 prev_set = prev if isinstance(prev, ValueSet) else ValueSet([prev])
@@ -1100,25 +1102,26 @@ def extract_fragment(result: ComprehensionResult) -> PlanFragment:
 def _count_dangling(ts: TransientStructure) -> int:
     """Referents annotated but feeding no call slot (loose ends)."""
     facts = _meaning_facts(ts)
-    aliases, _, groups = _links(facts)
+    aliases, groups = _links(facts)
     used: set[str] = set()
-
-    def use(name: str) -> None:  # name and, through groups, its members
-        if name not in used:
-            used.add(name)
-            for m in groups.get(name, ()):
-                if isinstance(m, Var):
-                    use(m.name)
-
     annotated: set[str] = set()
     for f in facts:
         if f.name == "slot" and len(f.args) == 3:
             for v in vars_of(f.args[2]):
-                use(aliases.find(v))
+                _use(aliases.find(v), groups, used)
         elif f.name in ("discourse", "locate") and f.args \
                 and isinstance(f.args[0], Var):
             annotated.add(aliases.find(f.args[0].name))
     return len((annotated | set(groups)) - used)
+
+
+def _use(name: str, groups: dict, used: set) -> None:
+    """Add name to used and, through groups, its members."""
+    if name not in used:
+        used.add(name)
+        for m in groups.get(name, ()):
+            if isinstance(m, Var):
+                _use(m.name, groups, used)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from souschef import MergeFailure, StructuralError
 from souschef.features import (
     Bindings, Compound, MatchResult, Num, PatternUnit, Struct, Sym, Text,
     TransientStructure, Unit, ValueSet, Var, match, merge, normalize_num,
-    _unify_subset, nums_equal, unify, vars_of,
+    nums_equal, unify, vars_of,
 )
+
+import reference_match
 
 
 def test_bindings_are_immutable():
@@ -36,6 +38,9 @@ def test_walk_reports_a_cycle_it_is_handed():
     with pytest.raises(StructuralError, match="binding cycle"):
         b.walk(Var("a"))
     assert Bindings({"a": Var("b"), "b": Sym("x")}).walk(Var("a")) == Sym("x")
+    # unify walks the bindings it is handed with the same check
+    with pytest.raises(StructuralError, match="binding cycle"):
+        unify(Compound("f", (Var("a"),), ()), Compound("f", (Sym("x"),), ()), b)
 
 
 def test_bind_leaves_its_source_unchanged():
@@ -182,7 +187,8 @@ def test_match_requires_every_unit():
 
 
 def test_value_set_match_screens_targets_like_unify():
-    # the literal screen before unify must keep exactly unify's results
+    # the index screen before each fact trial must keep exactly unify's
+    # results
     def f(name, *args):
         return Compound(name, args, ())
 
@@ -213,20 +219,22 @@ def test_value_set_match_screens_targets_like_unify():
                 if env not in reference:
                     reference.append(env)
         assert unify(ValueSet([p]), facts, bound) == reference, p
-    # the root's indexed form pool visits the same targets in the same order
-    pool, index = Unit("root", (("form", facts),)).form_pool
-    for p in patterns:
-        assert _unify_subset((p,), pool, bound, index) == \
-            unify(ValueSet([p]), facts, bound), p
-        for q in patterns:
-            assert _unify_subset((p, q), pool, bound, index) == \
-                _unify_subset((p, q), pool, bound), (p, q)
+    # a token unit's form facts, screened through the root's index, match
+    # as the interpretive matcher's do, and unify as its unify does
+    ts = TransientStructure((Unit("root", (("form", facts),)),))
+    for p in patterns[:-1]:
+        for q in patterns[:-1]:
+            pair = ValueSet([p, q])
+            assert unify(pair, facts, bound) == \
+                reference_match.unify(pair, facts, bound), (p, q)
+            unit = [PatternUnit(Var("t"), (("form", pair),))]
+            assert match(unit, ts) == reference_match.match(unit, ts), (p, q)
 
 
 def test_value_set_subset_keeps_bindings_that_differ_by_type():
     # Sym("1") and Num(1) print alike but are different values
-    envs = _unify_subset((Var("x"),), (Sym("1"), Num(Fraction(1))),
-                         Bindings(), None)
+    envs = unify(ValueSet([Var("x")]), ValueSet([Sym("1"), Num(Fraction(1))]),
+                 Bindings())
     assert [e.lookup("x") for e in envs] == [Sym("1"), Num(Fraction(1))]
 
 
@@ -241,3 +249,97 @@ def test_value_set_equality_follows_member_equality():
     assert ValueSet([ab]) == ValueSet([ba])
     assert hash(ValueSet([ab])) == hash(ValueSet([ba]))
     assert len(ValueSet([ab, ba])) == 1
+
+
+def _same_as_reference(pattern, ts) -> list:
+    """match's results, checked against the interpretive matcher's."""
+    results = match(pattern, ts)
+    assert results == reference_match.match(pattern, ts)
+    return results
+
+
+def _bound(results, name) -> list:
+    return [r.bindings.lookup(name) for r in results]
+
+
+def test_match_compares_numbers_after_unit_normalisation():
+    ts = _ts(Unit("u1", (("mass", Num(Fraction(1000), "g")),)),
+             Unit("u2", (("mass", Num(Fraction(1), "g")),)))
+    pattern = [PatternUnit(Var("u"), (("mass", Num(Fraction(1), "kg")),))]
+    assert _bound(_same_as_reference(pattern, ts), "u") == [Sym("u1")]
+
+
+def test_match_takes_value_set_members_to_distinct_targets():
+    ts = _ts(Unit("u1", (("ids", ValueSet([Sym("a"), Sym("b"), Sym("c")])),)))
+    pair = [PatternUnit(Var("u"), (("ids", ValueSet([Var("x"), Var("y")])),))]
+    results = _same_as_reference(pair, ts)
+    assert [(r.bindings.lookup("x").name, r.bindings.lookup("y").name)
+            for r in results] == [("a", "b"), ("a", "c"), ("b", "a"),
+                                  ("b", "c"), ("c", "a"), ("c", "b")]
+    # a literal member takes its own target, so ?x cannot reuse it
+    single = _ts(Unit("u1", (("ids", ValueSet([Sym("a")])),)))
+    with_literal = [PatternUnit(Var("u"), (
+        ("ids", ValueSet([Var("x"), Sym("a")])),))]
+    assert _same_as_reference(with_literal, single) == []
+
+
+def test_match_reads_a_struct_as_a_superset():
+    range_value = Struct([("min", Num(Fraction(15))), ("max", Num(Fraction(20)))])
+    ts = _ts(Unit("u1", (("value", range_value),)))
+    low = [PatternUnit(Var("u"), (("value", Struct([("min", Var("lo"))])),))]
+    assert _bound(_same_as_reference(low, ts), "lo") == [Num(Fraction(15))]
+    other = [PatternUnit(Var("u"), (("value", Struct([("mid", Var("m"))])),))]
+    assert _same_as_reference(other, ts) == []
+
+
+def test_match_binds_a_state_variable_when_it_is_met_again():
+    # ?x takes u1's state variable ?r~1; meeting ?x again binds ?r~1
+    ts = _ts(Unit("u1", (("referent", Var("r~1")), ("mark", Sym("one")))),
+             Unit("u2", (("referent", Sym("bowl")),)),
+             Unit("u3", (("referent", Compound("f", (Var("r~1"),), ())),)))
+    pattern = [PatternUnit(Var("a"), (("referent", Var("x")),
+                                      ("mark", Sym("one")))),
+               PatternUnit(Var("b"), (("referent", Var("x")),))]
+    results = _same_as_reference(pattern, ts)
+    envs = [dict(r.bindings.items()) for r in results]
+    assert {"a": Sym("u1"), "x": Var("r~1"), "b": Sym("u2"),
+            "r~1": Sym("bowl")} in envs
+    # u1 itself is used, and u3 would bind ?r~1 to a term holding it
+    assert _bound(results, "b") == [Sym("u2")]
+
+
+def test_match_drops_a_match_an_absent_group_finds():
+    def f(name, *args):
+        return Compound(name, args, ())
+
+    root = Unit("root", (("form", ValueSet([
+        f("string", Sym("t0-the"), Text("the")),
+        f("string", Sym("t1-butter"), Text("butter")),
+        f("string", Sym("t2-sugar"), Text("sugar")),
+        f("meets", Sym("t0-the"), Sym("t1-butter")),
+        f("meets", Sym("t1-butter"), Sym("t2-sugar")),
+    ])),))
+    ts = TransientStructure((root,))
+    after_no_the = [PatternUnit(Var("t"), (("form", ValueSet([
+        f("string", Var("t"), Var("w")),
+        Compound("absent", (f("string", Var("d"), Text("the")),
+                            f("meets", Var("d"), Var("t"))), ()),
+    ])),))]
+    results = _same_as_reference(after_no_the, ts)
+    # t1-butter follows "the"; ?d is local to the group and binds nothing
+    assert _bound(results, "t") == [Sym("t0-the"), Sym("t2-sugar")]
+    assert _bound(results, "d") == [None, None]
+
+
+def test_match_guard_equals_two_pattern_variables():
+    ts = _ts(Unit("u1", (("p", Sym("a")), ("q", Sym("a")))),
+             Unit("u2", (("p", Sym("a")), ("q", Sym("b")))),
+             Unit("u3", (("p", ValueSet([Sym("a")])),
+                         ("q", ValueSet([Sym("a"), Sym("b")])))))
+    pattern = [PatternUnit(Var("u"), (
+        ("p", Var("a")), ("q", Var("b")),
+        ("guard", ValueSet([Compound("equals", (Var("a"), Var("b")), ())])),
+    ))]
+    # ?a's value must subsume ?b's: equal symbols, or a subset
+    assert _bound(_same_as_reference(pattern, ts), "u") == \
+        [Sym("u1"), Sym("u3")]

@@ -21,6 +21,7 @@ from souschef.grammar import split_sentences
 from souschef.memory import make_registry
 from souschef.session import CookingSession
 from conftest import ALMOND, VANILLA, fresh_kitchen, primed
+import reference_match
 
 
 def test_tokenize_strips_punctuation_keeps_hyphens():
@@ -47,6 +48,29 @@ def test_parse_grammar_reads_function_words_and_scores():
     assert cxns[0].name == "tiny"
     assert cxns[0].kind == "lexical"
     assert cxns[0].score == Fraction(3, 5)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("(cxn a", "unbalanced '('", 1),
+    ("\n)", "unbalanced ')'", 2),
+    ('(function-words "the', "unterminated string", 1),
+    ('(function-words "the\n")', "newline inside string", 1),
+    ('; "in a comment\n(function-words "a\\', "unterminated string", 2),
+])
+def test_parse_grammar_reports_unreadable_text(text, message, line):
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+def test_parse_grammar_reads_escapes_and_comments():
+    # a backslash takes the next character as it is; ';' starts a comment
+    # outside a string
+    text = '(function-words "a\\"b;" ; "c\n  "d\\\\")'
+    assert parse_grammar(text)[1] == {'a"b;', "d\\"}
+    with pytest.raises(GrammarSyntaxError, match="line 3: unknown"):
+        parse_grammar(text + "\n(bogus)")
 
 
 def test_parse_grammar_rejects_bad_kind():
@@ -788,9 +812,10 @@ def test_cached_match_follows_root_form_changes():
 def test_almond_search_stays_within_match_budget(grammar, ontology,
                                                  data_dir, monkeypatch):
     # machine-independent guard against losing the anchor pruning (match
-    # calls), the per-unit reuse of match work (unify calls) and the layer
-    # of uncontested form-only applications (apply_construction calls);
-    # each budget is 15 % above the count measured when it was set
+    # calls), the compiled units' screens (the matcher's unit trials, and
+    # its fact trials against the root's form facts) and the layer of
+    # uncontested form-only applications (apply_construction calls); each
+    # budget is 15 % above the count measured when it was set
     counts = {}
 
     def counting(module, name):
@@ -803,12 +828,14 @@ def test_almond_search_stays_within_match_budget(grammar, ontology,
 
     counting(grammar_module, "match")
     counting(grammar_module, "apply_construction")
-    counting(features_module, "unify")
+    counting(features_module, "_try_unit")
+    counting(features_module, "_try_fact")
     ks, config = fresh_kitchen()
     document = load_recipe(data_dir / "recipes" / f"{ALMOND}.txt")
     run_recipe(document, grammar, ontology, ks, config)
     assert counts["match"] <= 207  # 180
-    assert counts["unify"] <= 2310  # 2,009
+    assert counts["_try_unit"] <= 380  # 330
+    assert counts["_try_fact"] <= 582  # 506
     assert counts["apply_construction"] <= 326  # 284
 
 
@@ -849,6 +876,30 @@ def test_search_memo_changes_no_result(grammar, ontology, workloads,
     assert [_search_trace(*case) for case in cases] == with_memo
 
 
+def test_compiled_match_equals_the_interpretive_match(grammar, ontology,
+                                                      workloads):
+    # every construction on every state a search tries constructions on:
+    # the bench's sentences, the primed k <= 3 probes in both forms in
+    # their discourse, and the MARKS grammar; same results, same order
+    cases = [(grammar, sentence, ()) for sentence in SEARCH_SENTENCES]
+    names = ("white-sugar", "almond-flour", "wheat-flour")
+    for k in (1, 2, 3):
+        for repeat in (False, True):
+            session, _, sentence, _ = primed(grammar, ontology, workloads,
+                                             names, k, repeat)
+            cases.append((grammar, sentence, session.pdm.current.accessible))
+    cases.append((MARKS, "balls", ()))
+    compared = 0
+    for gram, sentence, accessible in cases:
+        states, _ = _search(gram, sentence, accessible)
+        for ts in states:
+            for cxn in gram.constructions:
+                assert match(cxn.conditional, ts) == \
+                    reference_match.match(cxn.conditional, ts), cxn.name
+                compared += 1
+    assert compared > 2000
+
+
 def test_search_memo_ends_with_its_call(ontology, data_dir):
     # a sentence comprehends alike in a fresh grammar and after others, and
     # nothing keeps the units of a search once its result is dropped
@@ -877,14 +928,19 @@ def test_comprehension_does_not_keep_the_grammar_alive(ontology, data_dir):
 
 
 def test_matching_leaves_no_reference_cycles(grammar):
-    # match and its helpers free what they build by reference counting
-    winner = grammar.comprehend(
-        "Add the white sugar and the almond flour").structure
+    # match and its helpers free what they build by reference counting, and
+    # so do a comprehension and its meaning extraction
+    sentence = "Add the white sugar and the almond flour"
+    winner = grammar.comprehend(sentence).structure
     gc.collect()
     gc.disable()
     try:
         for cxn in grammar.constructions:
             match(cxn.conditional, winner)
+        assert gc.collect() == 0
+        result = grammar.comprehend(sentence)
+        assert gc.collect() == 0
+        extract_fragment(result)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -11,6 +11,7 @@ from souschef import (
     CookingSession, InputError, UnderstandingFailure, extract_fragment,
     goal_condition_success, load_recipe, parse_recipe, run_recipe, save_plan,
 )
+import souschef.features as features_module
 import souschef.grammar as grammar_module
 import souschef.plans as plans_module
 from souschef.features import Num, Var, vars_of
@@ -308,22 +309,22 @@ def test_add_lists_every_conjunct_as_transfer_source(
 
 
 def _three_conjunct_calls(grammar, ontology, workloads, monkeypatch, repeat,
-                         name) -> int:
-    """Calls of ``grammar.<name>`` while the session understands "Add the A
-    and B and C" (or "Add the A and the B and the C") in the bench's primed
-    discourse."""
+                         name, module=grammar_module) -> int:
+    """Calls of ``<module>.<name>`` while the session understands "Add the
+    A and B and C" (or "Add the A and the B and the C") in the bench's
+    primed discourse."""
     names = ("white-sugar", "almond-flour", "wheat-flour", "vanilla-extract",
              "almond-extract")
     session, n, sentence, _ = primed(grammar, ontology, workloads,
                                      names, 3, repeat)
     calls = []
-    function = getattr(grammar_module, name)
+    function = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return function(*args, **kwargs)
 
-    monkeypatch.setattr(grammar_module, name, counted)
+    monkeypatch.setattr(module, name, counted)
     report = session.run_step(n, sentence)
     assert not report.unresolved_tokens
     return len(calls)
@@ -349,3 +350,21 @@ def test_three_conjuncts_stay_within_match_budget(
     # tighten
     assert _three_conjunct_calls(grammar, ontology, workloads, monkeypatch,
                                  repeat, "match") <= budget
+
+
+@pytest.mark.parametrize("repeat, units, facts",
+                         [(False, 314, 319), (True, 320, 339)],
+                         ids=["and", "and-the"])
+def test_three_conjuncts_stay_within_trial_budget(
+        grammar, ontology, workloads, monkeypatch, repeat, units, facts):
+    # the matcher tries a compiled unit only on units holding its required
+    # features, and a form fact only on the root's facts its bound literals
+    # index. Each budget is the count of unit and fact trials measured when
+    # it was set, and may only tighten
+    def trials(name):
+        return _three_conjunct_calls(grammar, ontology, workloads,
+                                     monkeypatch, repeat, name,
+                                     features_module)
+
+    assert trials("_try_unit") <= units
+    assert trials("_try_fact") <= facts
