@@ -43,7 +43,8 @@ many search states share it:
 * ``Unit.form_pool`` holds a root unit's form facts with their positions by
   ``(name, arity)`` and by ``(name, arity, position)`` with each literal
   argument's kind and string; ``match`` tries pattern form facts against
-  it. It depends on the unit alone.
+  it, and ``grammar.Grammar.candidates`` screens constructions by its keys.
+  It depends on the unit alone.
 * ``Unit.feature_names`` is the set of its feature names, so ``match``
   and ``grammar.apply_construction`` test which pattern units a unit can
   stand for with one subset test.
@@ -775,7 +776,9 @@ class UnitPlan:
 
     ``form_only``: it holds only form and guard features, so while its name
     is an unbound variable it is a token unit and reads the root alone.
-    ``required``: the features a counterpart unit must hold. ``ops``: what
+    ``required``: the features a counterpart unit must hold. ``facts``: a
+    ``FactPlan`` for each of its form facts, ``absent`` ones left out; a
+    match finds each in the root's form pool. ``ops``: what
     ``match`` does, in order: each feature other than guards in the unit's
     order, the form feature as one ``_FACT`` per fact followed by a
     ``_TOUCH`` with the token ids among the arguments of its token facts
@@ -783,18 +786,19 @@ class UnitPlan:
     guard, then the ``absent`` groups as tuples of ``FactPlan``.
     """
 
-    __slots__ = ("name", "form_only", "required", "ops")
+    __slots__ = ("name", "form_only", "required", "facts", "ops")
 
     def __init__(self, pu: "PatternUnit"):
         names = frozenset(k for k, _ in pu.features)
         facts, groups = pu.form_parts
+        self.facts = tuple(map(FactPlan, facts))
         ops: list[tuple] = []
         guards: tuple = ()
         for fname, value in pu.features:
             if fname == GUARD_FEATURE:
                 guards = tuple(value)
             elif fname == FORM_FEATURE:
-                ops += [(_FACT, FactPlan(f)) for f in facts]
+                ops += [(_FACT, fp) for fp in self.facts]
                 args = [a for f in facts if f.name in _TOKEN_FACTS
                         for a in f.args]
                 if args:
@@ -1063,24 +1067,20 @@ def merge(contribution: Iterable[PatternUnit], target: TransientStructure,
 
     Value sets union; equal scalars are idempotent; conflicting scalars raise
     MergeFailure with the feature path. The input structure is never touched.
-    A unit-name variable ``?v`` left unbound names a new unit ``unit-v`` and
-    is bound to it. A written unit keeps its place; new units follow the
-    others in the order made.
+    Each contributing unit's name must walk to a ``Sym`` under bindings
+    (StructuralError otherwise): the unit of that name is written, or made
+    when the structure holds none. A written unit keeps its place; new
+    units follow the others in the order made.
     """
     units = {u.name: u for u in target.units}
-    env = bindings
     for pu in contribution:
-        name = env.walk(pu.name) if isinstance(pu.name, Var) else pu.name
-        if isinstance(name, Var):
-            fresh = f"unit-{name.name}"
-            nb = env.bind(name.name, Sym(fresh))
-            if nb is None:
-                raise MergeFailure(str(name), name, Sym(fresh))
-            env = nb
-            name = Sym(fresh)
+        name = bindings.walk(pu.name)
+        if not isinstance(name, Sym):
+            raise StructuralError(f"contributing unit {pu.name!r} names no "
+                                  f"unit: {name!r}")
         unit = units.get(name.name) or Unit(name.name)
         for fname, fvalue, ground in pu.contributions:
-            value = fvalue if ground else env.substitute(fvalue)
+            value = fvalue if ground else bindings.substitute(fvalue)
             existing = unit.get(fname)
             if existing is None:
                 unit = unit.with_feature(fname, value)

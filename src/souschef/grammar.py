@@ -80,7 +80,7 @@ from .errors import (
 from .features import (
     ABSENT, FORM_FEATURE, GUARD_FEATURE, ROOT, Bindings, Call, Compound,
     MatchResult, Num, PatternUnit, Struct, Sym, Text, TransientStructure,
-    Unit, ValueSet, Var, fact, facts_of, match, merge,
+    Unit, ValueSet, Var, fact, match, merge,
     variables_in_order, vars_of,
 )
 from .kitchen import PRIMITIVES
@@ -188,6 +188,24 @@ class Construction:
         required = tuple(pu.plan.required for pu, token
                          in zip(self.conditional, tokens) if not token)
         return required, tuple(sorted(frozenset().union(*required)))
+
+    @cached_property
+    def form_keys(self) -> frozenset:
+        """The ``Unit.form_pool`` index keys of its conditional form facts,
+        ``absent`` ones left out: each fact's shape and the key of each
+        literal argument. A match finds each fact among the root's form
+        facts in its keys' buckets, so a root lacking a key matches no
+        unit that holds the fact."""
+        return frozenset(key for pu in self.conditional for fp in pu.plan.facts
+                         for key in (fp.shape, *fp.keys))
+
+    @cached_property
+    def new_units(self) -> frozenset:
+        """The variables naming its new units: contributing units named by a
+        variable its conditional pole never mentions."""
+        return frozenset(pu.name.name for pu in self.contributing
+                         if isinstance(pu.name, Var)) \
+            - set(variables_in_order(self.conditional))
 
 
 def _token_units(conditional: tuple) -> list:
@@ -467,10 +485,10 @@ def _parse_cxn(node: _Node, procs: dict) -> Construction:
             f"construction {name}: missing contributing pole", line=node.line)
     lemmatization = kind == "lemmatization"
     conditional = poles["conditional"]
+    cxn = Construction(name, kind, score, conditional, poles["contributing"])
     token_flags = _token_units(conditional)
     tokens = {pu.name for pu, token in zip(conditional, token_flags) if token}
     read = {pu.name for pu in conditional} - {Sym(ROOT)}
-    bound = set(variables_in_order(conditional))
     for pole, pu, line in units:
         # a contributing unit's feature names come from its contributions,
         # so its values are marked for merge once, as the grammar is read
@@ -498,7 +516,7 @@ def _parse_cxn(node: _Node, procs: dict) -> Construction:
                 line=line)
         if pole == "contributing" and not lemmatization and not (
                 pu.name in read
-                or isinstance(pu.name, Var) and pu.name.name not in bound):
+                or isinstance(pu.name, Var) and pu.name.name in cxn.new_units):
             raise GrammarSyntaxError(  # rule (A)
                 f"construction {name}: contributing unit {pu.name!r} is "
                 f"neither one of its conditional units other than root nor "
@@ -516,7 +534,7 @@ def _parse_cxn(node: _Node, procs: dict) -> Construction:
                 f"construction {name}: token unit {pu.name!r} must name "
                 f"its token in its own form facts", line=line)
     _check_absent_scope(name, conditional, lines, [pu for _, pu, _ in units])
-    return Construction(name, kind, score, conditional, poles["contributing"])
+    return cxn
 
 
 def _check_absent_scope(name: str, conditional: tuple, lines: list,
@@ -614,8 +632,8 @@ def apply_construction(cxn: Construction, ts: TransientStructure,
     Matching runs on the grammar's own conditional pole, on its own
     variables; grammar variables contain no ``~`` and every variable of a
     state does, so the two never meet. Each application names its fresh
-    variables after its own ``applied`` entry (see ``_apply_match``), and
-    ``merge`` names each new unit after its variable, so a state's names
+    variables and its new units after its own ``applied`` entry (see
+    ``_apply_match``) before ``merge`` writes them, so a state's names
     depend on which applications built it and not on their order.
 
     The memo, one search's, keeps each match and merge it makes, so each
@@ -664,25 +682,25 @@ def _apply_match(cxn: Construction, mr: MatchResult, ts: TransientStructure,
                  memo: dict) -> Optional[TransientStructure]:
     """The state one match of cxn makes of ts, or None when the merge fails.
 
-    Each variable the match leaves unbound stands for a fresh one named
-    after this application's ``applied`` entry: ``?x`` becomes
-    ``?x~<entry>``. A path holds an entry at most once, so the names are
-    fresh in every state it reaches. They grow with nesting, since an
-    entry names the units its application read.
+    Each variable the match leaves unbound is named after this
+    application's ``applied`` entry: a new unit's ``?v`` (see
+    ``Construction.new_units``) names the unit ``unit-v~<entry>``, and any
+    other ``?x`` becomes the fresh variable ``?x~<entry>``. A path holds an
+    entry at most once, so the names are fresh in every state it reaches.
+    They grow with nesting, since an entry names the units its
+    application read.
 
     The units cxn writes are kept in memo under the match and the units
     they replace (see ``Grammar.comprehend``).
     """
     entry = _instance_name(cxn, mr)
     bindings = Bindings(dict(mr.bindings.items()) | {
-        v: Var(f"{v}~{entry}") for v in cxn.variables
+        v: Sym(f"unit-{v}~{entry}") if v in cxn.new_units
+        else Var(f"{v}~{entry}") for v in cxn.variables
         if mr.bindings.lookup(v) is None})
-    names = []  # as merge names them, in the order it writes them
-    for pu in cxn.contributing:
-        name = bindings.walk(pu.name)
-        name = f"unit-{name.name}" if isinstance(name, Var) else name.name
-        if name not in names:
-            names.append(name)
+    # the units merge writes, in the order it writes them
+    names = list(dict.fromkeys(bindings.walk(pu.name).name
+                               for pu in cxn.contributing))
     old = tuple(ts.unit(n) for n in names)
     # a token set second, where a match key has a unit name or nothing
     key = [cxn.name, mr.touched_tokens, *map(id, old)]
@@ -706,33 +724,6 @@ def _apply_match(cxn: Construction, mr: MatchResult, ts: TransientStructure,
                               ts.consumed | mr.touched_tokens)
 
 
-#: Form facts whose last argument may be a text literal worth indexing.
-_ANCHOR_FACTS = ("string", "lemma")
-
-
-def _anchor(f) -> Optional[tuple]:
-    if isinstance(f, Compound) and f.name in _ANCHOR_FACTS and f.args \
-            and isinstance(f.args[-1], Text):
-        return f.name, f.args[-1].text
-    return None
-
-
-def construction_anchors(cxn: Construction) -> frozenset:
-    """(fact name, text) of each conditional form fact ending in a literal.
-
-    A construction can match only a state holding all of its anchors; the
-    four without any (number-word, range-word, bare-np, ingredient-line)
-    are tried on every state.
-    """
-    out = set()
-    for pu in cxn.conditional:
-        for f in pu.form_parts[0]:
-            a = _anchor(f)
-            if a is not None:
-                out.add(a)
-    return frozenset(out)
-
-
 def applied_names(ts: TransientStructure) -> tuple:
     return tuple(inst.split("@", 1)[0] for inst in ts.applied)
 
@@ -748,15 +739,12 @@ class Grammar:
             by_name[c.name] = c
         self.by_name = by_name
         self.function_words = frozenset(function_words)
-        self.anchors = {c.name: construction_anchors(c)
-                        for c in self.constructions}
 
     def candidates(self, ts: TransientStructure) -> list:
-        """Constructions whose anchors all occur among the root's form facts
-        in ts, in order."""
-        present = {_anchor(f) for f in facts_of(ts.root.get(FORM_FEATURE))}
-        return [c for c in self.constructions
-                if self.anchors[c.name] <= present]
+        """Constructions, in order, whose ``form_keys`` all occur in the
+        index of the root's form pool in ts; no other can match ts."""
+        present = ts.root.form_pool[1].keys()
+        return [c for c in self.constructions if c.form_keys <= present]
 
     def comprehend(self, utterance, accessible: tuple = ()) -> ComprehensionResult:
         """Search construction applications for a covering analysis.
@@ -770,12 +758,13 @@ class Grammar:
         The lemmatizations run first, once, to a fixpoint; their applications
         stay in ``applied`` and the score. The search then starts from that
         state without them, trying only the candidate constructions, computed
-        once: those whose anchors (the literal string/lemma texts of their
-        conditional form facts) all occur among the root's form facts. This
-        is exact: under the rule ``_parse_cxn`` enforces, no search step
-        changes form facts or can enable a lemmatization, form matches are
-        by subset, and a construction with an absent anchor has no match (a
-        text literal unifies only with an equal text).
+        once (``candidates``): those whose ``form_keys`` all occur in the
+        index of the root's form pool. This is exact: a match looks for each
+        conditional form fact only in the index buckets its keys name
+        (``FactPlan.targets``), so a construction with a key the root lacks
+        has no match; and under the rule ``_parse_cxn`` enforces, no search
+        step changes form facts or can enable a lemmatization.
+        ``_lemmatize`` screens each round against that round's root.
 
         Then, once, every uncontested application of a form-only
         construction is made (``_apply_uncontested``). Its units are token
@@ -783,18 +772,26 @@ class Grammar:
         fixed root decides its matches and their ``applied`` entries in
         every state. A match joins the layer when (i) its tokens (those it
         touches and those its units stand for) meet those of no other
-        form-only match and (ii) applying it changes the state. No other
-        application writes the match's units before it makes them: by (i)
-        no other form-only match names these tokens, and by rules (A) and
-        (B) of grammar files any other construction writes only new units
-        and conditional units that are not token units, which match only
-        units that exist already. So the match stays enabled until made
-        and only adds to the state; every terminal state contains it and it
-        commutes to the front of every path: a persistent set of one
-        element (Godefroid 1996). The terminal states are unchanged; of the
-        rank's keys only the order of ``applied_names`` can differ. A
-        form-only construction none of whose matches stayed out of the
-        layer leaves the search, since each match is already in ``applied``.
+        form-only match and (ii) its merge succeeds. Each unit such a match
+        writes is then one that no earlier state holds, so applying it
+        changes the state, and the layer renders no ``content_key`` to
+        learn that. By rule (A) it writes only its token units and new
+        units. A new unit is named after the match's own ``applied`` entry,
+        which no earlier application has. By rule (B) only a form-only
+        construction writes a unit named after a token (a lemmatization
+        writes root alone), and by (i) every form-only match the layer made
+        before names other tokens. No other application writes the match's
+        units before it makes them: by (i) no other form-only match names
+        these tokens, and by rules (A) and (B) of grammar files any other
+        construction writes only new units and conditional units that are
+        not token units, which match only units that exist already. So the
+        match stays enabled until made and only adds to the state; every
+        terminal state contains it and it commutes to the front of every
+        path: a persistent set of one element (Godefroid 1996). The terminal
+        states are unchanged; of the rank's keys only the order of
+        ``applied_names`` can differ. A form-only construction none of whose
+        matches stayed out of the layer leaves the search, since each match
+        is already in ``applied``.
 
         Fresh names come from the applications that make them
         (``apply_construction``), so the result does not depend on earlier
@@ -805,13 +802,13 @@ class Grammar:
         was left unexpanded.
 
         A conditional unit's ``(absent ...)`` groups read only the root's
-        form facts, which no search step changes, so the anchors, the touched
-        tokens, ``Construction.reads``, ``form_only`` and the match memo's
-        view of a state need not mention them. Anchors and touched tokens
-        come from the facts a match must find, never from absent ones; a
-        group changes no feature a unit must hold; and the view, which
-        decides when a match is reused, leaves out the root's form facts
-        because they stay fixed for the whole search.
+        form facts, which no search step changes, so ``form_keys``, the
+        touched tokens, ``Construction.reads``, ``form_only`` and the match
+        memo's view of a state need not mention them. Form keys and touched
+        tokens come from the facts a match must find, never from absent
+        ones; a group changes no feature a unit must hold; and the view,
+        which decides when a match is reused, leaves out the root's form
+        facts because they stay fixed for the whole search.
 
         A child state differs from its parent by one merge, so the search
         keeps one memo, dropped when it returns, and matches and merges
@@ -829,14 +826,15 @@ class Grammar:
           ``Sym``-named unit is never a token unit.
         * Merges are kept under the construction, the match, and the unit
           objects the state holds under each name the contributing pole
-          writes, fresh ``unit-...`` names included (None where absent).
-          ``merge`` reads nothing else of the state, and the match fixes
-          the fresh variables. A bound ``Sym``, ``Text``, ``Var`` or
-          ``Num`` is keyed by value; any other bound value by identity,
-          since equal value sets and structs may order their members
-          differently, and that order reaches the merged units. The child
-          is built as ``merge`` builds it: each written unit in its place,
-          then the new ones in the order made.
+          writes, new units' ``unit-...`` names included (None where
+          absent). ``merge`` reads nothing else of the state, and the match
+          fixes the names ``_apply_match`` gives the variables it leaves
+          unbound. A bound ``Sym``, ``Text``, ``Var`` or ``Num`` is keyed by
+          value; any other bound value by identity, since equal value sets
+          and structs may order their members differently, and that order
+          reaches the merged units. The child is built as ``merge`` builds
+          it: each written unit in its place, then the new ones in the order
+          made.
 
         Keys name objects by identity, and each entry keeps the objects it
         names, so no id is reused while the memo lives. The memo changes no
@@ -922,19 +920,17 @@ class Grammar:
                     | {mr.bindings.walk(pu.name) for pu in cxn.conditional}
                 claims.update(tokens)
                 trials.append((cxn, mr, tokens))
-        key = ts.content_key()
         # form-only constructions leave the search unless one of their
         # matches stays out of the layer
         settled = {cxn.name for cxn in form_cxns}
         for cxn, mr, tokens in trials:
-            child = None  # (i): no other claim; (ii) below
+            child = None  # (i): no other claim; (ii): the merge succeeds
             if all(claims[t] == 1 for t in tokens):
                 child = _apply_match(cxn, mr, ts, {})
-            child_key = child.content_key() if child is not None else key
-            if child_key != key:
-                ts, key = child, child_key
-            else:
+            if child is None:
                 settled.discard(cxn.name)
+            else:
+                ts = child
         return ts, [c for c in candidates if c.name not in settled]
 
     def _rank(self, ts: TransientStructure, content: set) -> tuple:

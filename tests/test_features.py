@@ -148,12 +148,15 @@ def test_merge_conflicting_scalar_fails():
         merge(contribution, ts, Bindings())
 
 
-def test_merge_unbound_unit_name_allocates_fresh_unit():
-    ts = _ts()
+def test_merge_unnamed_contributing_unit_raises():
+    # comprehension names every unit a contribution writes before merging
     contribution = [PatternUnit(Var("np"), (("cat", Sym("food")),))]
-    out = merge(contribution, ts, Bindings())
-    assert out.unit("unit-np").get("cat") == Sym("food")
-    assert ts.unit("unit-np") is None
+    with pytest.raises(StructuralError):
+        merge(contribution, _ts(), Bindings())
+    with pytest.raises(StructuralError):
+        merge(contribution, _ts(), Bindings({"np": Var("np~1")}))
+    named = merge(contribution, _ts(), Bindings({"np": Sym("unit-np~1")}))
+    assert named.unit("unit-np~1").get("cat") == Sym("food")
 
 
 def test_match_binds_unit_and_reports_touched_tokens():

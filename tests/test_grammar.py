@@ -501,12 +501,13 @@ def test_competing_noun_claims_resolve_to_one_analysis(grammar):
     assert shape.slot("shape") == Sym("crescent")
 
 
-def test_constructions_without_anchors_are_the_open_ones(grammar):
-    open_ones = sorted(n for n, a in grammar.anchors.items() if not a)
-    assert open_ones == ["bare-np", "ingredient-line", "number-word",
-                         "range-word"]
-    assert grammar.anchors["white-sugar-noun"] == frozenset(
-        {("string", "white"), ("string", "sugar")})
+def test_form_keys_screen_every_construction_but_bare_np(grammar):
+    # bare-np's only form facts are absent ones, which the screen leaves out
+    assert [c.name for c in grammar.constructions if not c.form_keys] \
+        == ["bare-np"]
+    assert grammar.by_name["white-sugar-noun"].form_keys == frozenset({
+        ("string", 2), ("string", 2, 1, "text", "white"),
+        ("string", 2, 1, "text", "sugar"), ("meets", 2)})
 
 
 SEARCH_SENTENCES = [
@@ -646,13 +647,12 @@ def test_layered_search_picks_the_single_layer_winner(grammar, ontology,
 
 
 def test_layered_search_picks_the_reference_winner_on_fuzzed_sentences(
-        grammar):
-    # word salads of at most 7 tokens over the anchor words, numbers and
-    # function words: lexical applications the layer settles, contested
-    # ones, and sentences nothing covers; each within the state budget
-    words = sorted({text for anchors in grammar.anchors.values()
-                    for _, text in anchors})
-    vocab = words + ["225", "ten", "15-20"] + sorted(grammar.function_words)
+        grammar, corpus):
+    # word salads of at most 7 tokens over the grammar's literal words,
+    # numbers and function words: lexical applications the layer settles,
+    # contested ones, and sentences nothing covers; each within the state
+    # budget
+    vocab = corpus.salad_vocabulary(grammar)
     rng = random.Random(8)
     for _ in range(60):
         sentence = " ".join(rng.choice(vocab)
@@ -694,6 +694,28 @@ LEFT_THE_SEARCH = {
 }
 
 
+def _bundled_plus(data_dir, ontology, text: str) -> Grammar:
+    """The bundled grammar with the constructions of text appended."""
+    text = (data_dir / "grammar.cxn").read_text() + text
+    return Grammar(*parse_grammar(text, make_registry(ontology)))
+
+
+def _layered(grammar, sentence, monkeypatch) -> tuple:
+    """(the state the layer of uncontested applications left, the
+    candidates it left to the search, the comprehension result)."""
+    seen = []
+    apply_uncontested = grammar._apply_uncontested
+
+    def spy(*args):
+        seen.append(apply_uncontested(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(grammar, "_apply_uncontested", spy)
+    result = grammar.comprehend(sentence)
+    (settled, candidates), = seen
+    return settled, candidates, result
+
+
 @pytest.mark.parametrize("sentence, layer, searched", [
     # sugar-noun and white-sugar-noun touch the same token, and so do
     # white-adjective and white-sugar-noun
@@ -708,18 +730,8 @@ LEFT_THE_SEARCH = {
 ])
 def test_contested_applications_stay_in_the_search(
         data_dir, ontology, monkeypatch, sentence, layer, searched):
-    text = (data_dir / "grammar.cxn").read_text() + CONTESTING_CONSTRUCTIONS
-    grammar = Grammar(*parse_grammar(text, make_registry(ontology)))
-    seen = []
-    apply_uncontested = grammar._apply_uncontested
-
-    def spy(*args):
-        seen.append(apply_uncontested(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(grammar, "_apply_uncontested", spy)
-    result = grammar.comprehend(sentence)
-    (settled, candidates), = seen
+    grammar = _bundled_plus(data_dir, ontology, CONTESTING_CONSTRUCTIONS)
+    settled, candidates, result = _layered(grammar, sentence, monkeypatch)
     assert list(grammar_module.applied_names(settled)) == layer
     assert set(searched) <= {c.name for c in candidates}
     form_only = [c.name for c in grammar.candidates(settled)
@@ -732,6 +744,46 @@ def test_contested_applications_stay_in_the_search(
                if entry.split("@")[0] in form_only]
     assert len(anchors) == len(set(anchors))
     assert _winner(result) == _single_layer_winner(grammar, sentence)
+
+
+def test_uncontested_match_whose_merge_fails_stays_in_the_search(
+        data_dir, ontology, monkeypatch):
+    # nothing else claims "zebra", and the two contributing units write
+    # conflicting values to its unit
+    grammar = _bundled_plus(data_dir, ontology, """
+    (cxn zebra-word :kind lexical :score 1/2
+      (conditional (?t (form (string ?t "zebra"))))
+      (contributing (?t (cat zebra)) (?t (cat horse))))
+    """)
+    sentence = "Melt the zebra"
+    zebra = grammar.by_name["zebra-word"]
+    ts0 = grammar_module.initialize_transient(tokenize(sentence))
+    assert len(match(zebra.conditional, ts0)) == 1
+    assert grammar_module.apply_construction(zebra, ts0, {}) == []
+    settled, candidates, result = _layered(grammar, sentence, monkeypatch)
+    assert "zebra-word" not in grammar_module.applied_names(settled)
+    assert zebra in candidates
+    assert _winner(result) == _single_layer_winner(grammar, sentence)
+
+
+def test_contribution_may_name_a_new_unit_before_making_it():
+    # ?g is a new unit, and a contributing unit listed before it names it
+    grammar = Grammar(*parse_grammar("""
+    (cxn sugar-noun :kind lexical :score 1/2
+      (conditional (?t (form (string ?t "sugar"))))
+      (contributing (?t (lex-class noun))))
+    (cxn noun-group :kind abstract :score 1/2
+      (conditional (?n (lex-class noun)))
+      (contributing (?n (used-by ?g)) (?g (members ?n))))
+    """))
+    result = grammar.comprehend("sugar")
+    assert result.applied == ("sugar-noun", "noun-group")
+    structure = result.structure
+    group = structure.unit("t0-sugar").get("used-by")
+    assert isinstance(group, Sym)
+    assert structure.unit(group.name).get("members") == Sym("t0-sugar")
+    assert not any(isinstance(value, Var) for unit in structure.units
+                   for _, value in unit.features)
 
 
 @pytest.mark.parametrize("sentence", SEARCH_SENTENCES)
@@ -811,7 +863,7 @@ def test_cached_match_follows_root_form_changes():
 
 def test_almond_search_stays_within_match_budget(grammar, ontology,
                                                  data_dir, monkeypatch):
-    # machine-independent guard against losing the anchor pruning (match
+    # machine-independent guard against losing the candidate screen (match
     # calls), the compiled units' screens (the matcher's unit trials, and
     # its fact trials against the root's form facts) and the layer of
     # uncontested form-only applications (apply_construction calls); each

@@ -10,8 +10,8 @@ The corpus holds:
 * the conjunct probes of perfbench's conjunct-scaling workload
   (``workloads.probe_round``), k = 1..4, with and without a repeated
   "the", each after its primed discourse;
-* seeded word salads over the grammar's anchor words, a few numbers and
-  the function words.
+* seeded word salads over the grammar's literal words, a few numbers and
+  the function words (``salad_vocabulary``).
 
 For each comprehension a fingerprint records the sentence, a digest of the
 winner's ``content_key``, the names it applied in order and a digest of
@@ -116,10 +116,17 @@ def _probe(world, workloads, k: int, repeat: bool) -> dict:
     return {"comprehensions": recorder.seen}
 
 
+def salad_vocabulary(grammar) -> list:
+    """The text literals of the grammar's conditional form facts (the text
+    keys among ``Construction.form_keys``), a few numbers and the function
+    words."""
+    words = sorted({key[-1] for cxn in grammar.constructions
+                    for key in cxn.form_keys if key[3:4] == ("text",)})
+    return words + ["225", "ten", "15-20"] + sorted(grammar.function_words)
+
+
 def _salads(grammar) -> list:
-    words = sorted({text for anchors in grammar.anchors.values()
-                    for _, text in anchors})
-    vocab = words + ["225", "ten", "15-20"] + sorted(grammar.function_words)
+    vocab = salad_vocabulary(grammar)
     rng = random.Random(SALAD_SEED)
     return [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 7)))
             for _ in range(SALADS)]
