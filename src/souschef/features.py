@@ -78,6 +78,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
+from operator import is_
 from typing import Callable, Iterable, Iterator, KeysView, Optional, Union
 
 from .errors import MergeFailure, StructuralError
@@ -321,6 +322,11 @@ def _collect_vars(fv, out: dict[str, None]) -> None:
             _collect_vars(v, out)
 
 
+def _same(new: Iterable, old: Iterable) -> bool:
+    """Whether each of new is the very object at its place in old."""
+    return all(map(is_, new, old))
+
+
 class Bindings:
     """Immutable variable environment with an occurs check at bind time."""
 
@@ -359,18 +365,24 @@ class Bindings:
         return out
 
     def substitute(self, fv: FeatureValue) -> FeatureValue:
-        """Deep substitution of every bound variable."""
+        """Deep substitution of every bound variable. A value in which
+        nothing changes is returned as it is, not rebuilt."""
         fv = self.walk(fv)
         if isinstance(fv, ValueSet):
-            return ValueSet(self.substitute(m) for m in fv)
+            members = [self.substitute(m) for m in fv.members]
+            return fv if _same(members, fv.members) else ValueSet(members)
         if isinstance(fv, Struct):
-            return Struct([(k, self.substitute(v)) for k, v in fv.fields])
+            fields = [(k, self.substitute(v)) for k, v in fv.fields]
+            if _same((v for _, v in fields), (v for _, v in fv.fields)):
+                return fv
+            return Struct(fields)
         if isinstance(fv, Compound):
-            return Compound(
-                fv.name,
-                tuple(self.substitute(a) for a in fv.args),
-                tuple((k, self.substitute(v)) for k, v in fv.kwargs),
-            )
+            args = [self.substitute(a) for a in fv.args]
+            kwargs = [(k, self.substitute(v)) for k, v in fv.kwargs]
+            if _same(args, fv.args) and _same(
+                    (v for _, v in kwargs), (v for _, v in fv.kwargs)):
+                return fv
+            return Compound(fv.name, tuple(args), tuple(kwargs))
         return fv
 
     def items(self):

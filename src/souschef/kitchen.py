@@ -191,16 +191,21 @@ def content_hash(ks: KitchenState) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def _digest(entities: dict, digests: dict, serial: int) -> str:
+def _digest(entities: dict, digests: dict, serial: int,
+            rendered: dict) -> str:
     """The subtree digest of `serial`: read from `digests`, or computed into
-    it together with each missing digest below it."""
+    it together with each missing digest below it. `rendered` maps each
+    composition rendered so far in this pass to its text."""
     d = digests.get(serial)
     if d is None:
         e = entities[serial]
-        comp = ",".join(f"{c}:{g}" for c, g in e.composition)
+        comp = rendered.get(e.composition)
+        if comp is None:
+            comp = rendered[e.composition] = ",".join(
+                f"{c}:{g}" for c, g in e.composition)
         props = ",".join(f"{k}={v}" for k, v in e.properties)
-        kids = sorted(_digest(entities, digests, s) for s in e.contents
-                      if s in entities)
+        kids = sorted(_digest(entities, digests, s, rendered)
+                      for s in e.contents if s in entities)
         payload = "|".join([e.kind, "c" if e.container else "f", comp, props]
                            + kids)
         d = digests[serial] = hashlib.sha256(payload.encode()).hexdigest()
@@ -230,8 +235,10 @@ class _Builder:
 
     def create(self, kind: str, parent: int, container=False,
                composition=(), properties=()) -> KitchenEntity:
+        """A new entity in `parent`; `composition` is already normalized
+        (`_norm_comp`), so a batch of like entities shares one."""
         e = KitchenEntity(self.next_serial, kind, container,
-                          _norm_comp(composition), tuple(sorted(properties)))
+                          composition, tuple(sorted(properties)))
         self.next_serial += 1
         self.put(e)
         self._attach(e.serial, parent)
@@ -271,8 +278,9 @@ class _Builder:
         digests = dict(self.ks.digests)
         for serial in stale:
             digests.pop(serial, None)
+        rendered: dict = {}
         for serial in stale & self.entities.keys():
-            _digest(self.entities, digests, serial)
+            _digest(self.entities, digests, serial, rendered)
         return KitchenState(f"ks-{self.ks.seq + 1}", clock, self.ks.locations,
                             self.entities, self.next_serial, self.ks.seq + 1,
                             digests, self.parents)
@@ -331,8 +339,9 @@ def initial_kitchen(spec: Optional[dict] = None) -> tuple[KitchenState, dict]:
 
     parents = {c: s for s, e in entities.items() for c in e.contents}
     digests: dict[int, str] = {}
+    rendered: dict = {}
     for s in entities:
-        _digest(entities, digests, s)
+        _digest(entities, digests, s, rendered)
     ks = KitchenState("ks-0", Fraction(0), tuple(locations), entities, serial, 0,
                       digests, parents)
     return ks, _merge_config(spec.get("config"))
@@ -530,7 +539,8 @@ class KitchenSimulator:
             b.drop(source.serial)
         else:
             b.put(b.get(source.serial).with_composition(left))
-        portion = b.create(source.kind, bowl.serial, composition=taken)
+        portion = b.create(source.kind, bowl.serial,
+                           composition=_norm_comp(taken))
         return {"resultant": Num(Fraction(portion.serial))}, []
 
     def _fetch(self, b, slots, container: bool):
@@ -577,7 +587,7 @@ class KitchenSimulator:
         for f in foods:
             b.drop(f.serial)
         return b.create(self._mixture_kind(tuple(comp.items())),
-                        container.serial, composition=tuple(comp.items()),
+                        container.serial, composition=_norm_comp(comp),
                         properties=(("mixed-state", mixed_state),))
 
     def _require_tool(self, b, slots) -> None:
@@ -671,7 +681,7 @@ class KitchenSimulator:
         dest = self._entity_ref(b.ks, destination)
 
         share = per / total
-        portion_comp = [(c, g * share) for c, g in source.composition]
+        portion_comp = _norm_comp((c, g * share) for c, g in source.composition)
         serials = []
         for _ in range(count):
             portion = b.create(source.kind, dest.serial, composition=portion_comp)

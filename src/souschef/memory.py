@@ -34,35 +34,32 @@ ONTOLOGY_SHAPE = {"concepts": {"*": {
 
 
 class Ontology:
-    """Acyclic is-a hierarchy of concepts with inheritable feature maps."""
+    """Acyclic is-a hierarchy of concepts with inheritable feature maps.
+
+    The ontology is read-only once loaded, so each concept's ancestors and
+    merged features are worked out then, and `is_a`, `lookup` and `feature`
+    read them from tables.
+    """
 
     def __init__(self, concepts: dict[str, dict]):
-        self._parents: dict[str, tuple[str, ...]] = {}
-        self._features: dict[str, dict] = {}
+        parents: dict[str, tuple[str, ...]] = {}
         for name, entry in concepts.items():
-            self._parents[name] = tuple(entry.get("is-a", []))
-            self._features[name] = dict(entry.get("features", {}))
-        for name, parents in self._parents.items():
-            for p in parents:
-                if p not in self._parents:
+            parents[name] = tuple(entry.get("is-a", []))
+        for name, ps in parents.items():
+            for p in ps:
+                if p not in parents:
                     raise InputError(f"concept {name} names unknown parent {p}")
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        state: dict[str, int] = {}
-
-        def visit(c: str, trail: tuple[str, ...]) -> None:
-            if state.get(c) == 2:
-                return
-            if state.get(c) == 1:
-                raise InputError(f"is-a cycle through {c}: {' -> '.join(trail + (c,))}")
-            state[c] = 1
-            for p in self._parents[c]:
-                visit(p, trail + (c,))
-            state[c] = 2
-
-        for c in self._parents:
-            visit(c, ())
+        #: concept -> itself and every concept it reaches by is-a links
+        self._ancestors: dict[str, frozenset] = {}
+        #: concept -> its features merged over its ancestors'
+        self._features: dict[str, dict] = {}
+        for name in parents:
+            line = _ancestors_first(name, parents)
+            self._ancestors[name] = frozenset(line)
+            merged: dict = {}
+            for c in line:
+                merged.update(concepts[c].get("features", {}))
+            self._features[name] = merged
 
     @staticmethod
     def load(path: Path | str) -> "Ontology":
@@ -71,47 +68,54 @@ class Ontology:
                                     "ontology file")["concepts"])
 
     def knows(self, concept: str) -> bool:
-        return concept in self._parents
+        return concept in self._ancestors
 
     def is_a(self, concept: str, ancestor: str) -> bool:
         """True when concept reaches ancestor through is-a links (reflexive)."""
-        if concept not in self._parents or ancestor not in self._parents:
-            return False
-        seen = set()
-        frontier = [concept]
-        while frontier:
-            c = frontier.pop()
-            if c == ancestor:
-                return True
-            if c in seen:
-                continue
-            seen.add(c)
-            frontier.extend(self._parents[c])
-        return False
+        return (ancestor in self._ancestors
+                and ancestor in self._ancestors.get(concept, ()))
 
     def is_kind(self, kind: str, concept: str) -> bool:
         """True when kind is concept or an ontology concept below it."""
         return kind == concept or self.is_a(kind, concept)
 
     def lookup(self, concept: str) -> dict:
-        """Merged feature map: ancestors first, the concept's own entries last."""
-        if concept not in self._parents:
-            raise UnknownConceptError(f"concept not in ontology: {concept}")
-        merged: dict = {}
-
-        def ancestors_first(c: str, seen: set[str]) -> None:
-            if c in seen:
-                return
-            seen.add(c)
-            for p in self._parents[c]:
-                ancestors_first(p, seen)
-            merged.update(self._features[c])
-
-        ancestors_first(concept, set())
-        return merged
+        """Merged feature map, a copy: ancestors first, the concept's own
+        entries last."""
+        return dict(self._merged(concept))
 
     def feature(self, concept: str, name: str):
-        return self.lookup(concept).get(name)
+        return self._merged(concept).get(name)
+
+    def _merged(self, concept: str) -> dict:
+        features = self._features.get(concept)
+        if features is None:
+            raise UnknownConceptError(f"concept not in ontology: {concept}")
+        return features
+
+
+def _ancestors_first(concept: str, parents: dict) -> list:
+    """concept and every concept it reaches by is-a links, each once, in the
+    order a depth-first walk over the parents finishes them: ancestors
+    first, the concept last. InputError on an is-a cycle, naming it."""
+    line, done = [], set()
+    trail = [concept]
+    stack = [iter(parents[concept])]
+    while stack:
+        for p in stack[-1]:
+            if p in trail:
+                raise InputError(f"is-a cycle through {p}: "
+                                 f"{' -> '.join(trail + [p])}")
+            if p not in done:
+                trail.append(p)
+                stack.append(iter(parents[p]))
+                break
+        else:
+            stack.pop()
+            c = trail.pop()
+            done.add(c)
+            line.append(c)
+    return line
 
 
 def _json_to_fv(value):

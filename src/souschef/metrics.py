@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InputError, SizeExceededError
@@ -141,14 +142,78 @@ def _placement_order(x: TripleSet, x_attrs: dict) -> list:
         links[n1].append((role, n2, True))
         if n2 != n1:
             links[n2].append((role, n1, False))
+    into = dict.fromkeys(x.nodes, 0)    # relations into the placed calls
     order, placed, rest = [], set(), list(x.nodes)
     while rest:
-        call = max(rest, key=lambda n: (
-            sum(w in placed for _, w, _ in links[n]), len(x_attrs[n])))
+        call = max(rest, key=lambda n: (into[n], len(x_attrs[n])))
         rest.remove(call)
         placed.add(call)
         order.append((call, [r for r in links[call] if r[1] in placed]))
+        for _, w, _ in links[call]:
+            if w not in placed:
+                into[w] += 1
     return order
+
+
+def _count(counts: dict, keys) -> None:
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+
+
+class _Targets:
+    """The triples of the graph searched over, indexed by what a placed
+    call looks up: each set holds the target calls that one key names."""
+
+    def __init__(self, y: TripleSet):
+        self.nodes = y.nodes
+        self.by_primitive: dict[str, set] = {}
+        for v, primitive in dict(y.instances).items():
+            self.by_primitive.setdefault(primitive, set()).add(v)
+        self.by_attribute: dict[tuple, set] = {}
+        for v, role, value in y.attributes:
+            self.by_attribute.setdefault((role, value), set()).add(v)
+        # by role and direction; by role and producer; by consumer and
+        # role; and the roles of self-relations
+        self.by_role: dict[tuple, set] = {}
+        self.consumers: dict[tuple, set] = {}
+        self.producers: dict[tuple, set] = {}
+        self.loops: dict[str, set] = {}
+        for n1, role, n2 in y.relations:
+            self.by_role.setdefault((role, True), set()).add(n1)
+            self.by_role.setdefault((role, False), set()).add(n2)
+            self.consumers.setdefault((role, n2), set()).add(n1)
+            self.producers.setdefault((n1, role), set()).add(n2)
+            if n1 == n2:
+                self.loops.setdefault(role, set()).add(n1)
+
+    def own(self, primitive: str, attrs: list) -> dict:
+        """Target call -> the call's instance and attribute triples it
+        carries."""
+        own = dict.fromkeys(self.nodes, 0)
+        _count(own, self.by_primitive.get(primitive, ()))
+        for attr in attrs:
+            _count(own, self.by_attribute.get(attr, ()))
+        return own
+
+    def options(self, call: str, rels: list, own: dict,
+                mapping: dict) -> list:
+        """(gain, target) for each target call `mapping` leaves unused, in
+        target order, then stably by gain, highest first. A relation
+        gains where its other end's target is linked the same way; a
+        self-relation where the target links to itself."""
+        extra: dict[str, int] = {}
+        for role, w, consumer in rels:
+            if w == call:
+                _count(extra, self.loops.get(role, ()))
+            elif consumer:
+                _count(extra, self.consumers.get((role, mapping[w]), ()))
+            else:
+                _count(extra, self.producers.get((mapping[w], role), ()))
+        used = set(mapping.values())
+        options = [(own[v] + extra.get(v, 0), v) for v in self.nodes
+                   if v not in used]
+        options.sort(key=itemgetter(0), reverse=True)
+        return options
 
 
 def smatch_score(a: TripleSet, b: TripleSet) -> OverlapScore:
@@ -161,13 +226,11 @@ def smatch_score(a: TripleSet, b: TripleSet) -> OverlapScore:
     relations that target could carry (it has one of that role in that
     direction). The result is proven optimal (`exact`) unless the search
     reaches ALIGN_BUDGET nodes; then it is the best alignment found.
-    Deterministic.
+    The other graph's triples are indexed once (`_Targets`), so each count
+    reads only the targets a key names. Deterministic.
     """
     x, y = (a, b) if len(a.nodes) <= len(b.nodes) else (b, a)
-    y_prim = dict(y.instances)
-    y_attr, y_rel = set(y.attributes), set(y.relations)
-    y_roles = ({(n1, role, True) for n1, role, _ in y.relations}
-               | {(n2, role, False) for _, role, n2 in y.relations})
+    targets = _Targets(y)
     x_prim = dict(x.instances)
     x_attrs: dict[str, list] = {n: [] for n in x.nodes}
     for n, role, value in x.attributes:
@@ -176,49 +239,44 @@ def smatch_score(a: TripleSet, b: TripleSet) -> OverlapScore:
     steps = []                   # (call, relations, own triples per target)
     bounds = []
     for call, rels in _placement_order(x, x_attrs):
-        own = {v: (x_prim[call] == y_prim[v])
-               + sum((v, role, value) in y_attr
-                     for role, value in x_attrs[call])
-               for v in y.nodes}
+        own = targets.own(x_prim[call], x_attrs[call])
         steps.append((call, rels, own))
-        bounds.append(max(own[v] + sum((v, role, consumer) in y_roles
-                                       for role, _, consumer in rels)
-                          for v in y.nodes))
+        carried: dict[str, int] = {}
+        for role, _, consumer in rels:
+            _count(carried, targets.by_role.get((role, consumer), ()))
+        bounds.append(max(own[v] + carried.get(v, 0) for v in y.nodes))
     rest = [sum(bounds[d:]) for d in range(len(bounds) + 1)]
+    if not steps:
+        return _score(a, b, 0, True)
 
+    # Depth-first over one frame per placed depth: the options still to
+    # try there, and the score of the calls placed above it.
     mapping: dict[str, str] = {}
     best, spent = 0, 0
-
-    def search(depth: int, score: int) -> None:
-        nonlocal best, spent
-        if depth == len(steps):
-            best = score         # pruning admits only improvements
-            return
-        call, rels, own = steps[depth]
-        options = []
-        used = set(mapping.values())
-        for v in y.nodes:
-            if v in used:
-                continue
-            # mapping lacks `call` itself, so a self-relation maps to v
-            gain = own[v] + sum(
-                ((v, role, mapping.get(w, v)) if consumer
-                 else (mapping.get(w, v), role, v)) in y_rel
-                for role, w, consumer in rels)
-            options.append((gain, v))
-        options.sort(key=lambda option: -option[0])
-        for gain, v in options:
-            if score + gain + rest[depth + 1] <= best:
-                return
+    call, rels, own = steps[0]
+    frames = [(iter(targets.options(call, rels, own, mapping)), 0)]
+    while frames:
+        depth = len(frames) - 1
+        options, above = frames[-1]
+        option = next(options, None)
+        if option is not None and above + option[0] + rest[depth + 1] > best:
+            gain, v = option
             spent += 1
             if spent > ALIGN_BUDGET:
-                return
-            mapping[call] = v
-            search(depth + 1, score + gain)
-            del mapping[call]
-
-    search(0, 0)
-    return _score(a, b, best, spent <= ALIGN_BUDGET)
+                return _score(a, b, best, False)
+            if depth + 1 == len(steps):
+                best = above + gain  # pruning admits only improvements
+                continue
+            mapping[steps[depth][0]] = v
+            call, rels, own = steps[depth + 1]
+            frames.append((iter(targets.options(call, rels, own, mapping)),
+                           above + gain))
+            continue
+        # options run out, or none left can beat the best: back up
+        frames.pop()
+        if frames:
+            del mapping[steps[depth - 1][0]]
+    return _score(a, b, best, True)
 
 
 def smatch_exact(a: TripleSet, b: TripleSet, max_vars: int = 8) -> OverlapScore:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -138,23 +139,12 @@ class PlanNetwork:
             seen.add(c.call_id)
         self.producers()
         # acyclicity over producer -> consumer edges
-        deps: dict[str, set[str]] = {c.call_id: set() for c in self.calls}
+        deps: dict[str, list] = {c.call_id: [] for c in self.calls}
         for consumer, _, producer in self.consumers():
-            deps[consumer.call_id].add(producer.call_id)
-        state: dict[str, int] = {}
-
-        def visit(cid: str) -> None:
-            if state.get(cid) == 2:
-                return
-            if state.get(cid) == 1:
-                raise StructuralError(f"plan cycle through {cid}")
-            state[cid] = 1
-            for d in deps[cid]:
-                visit(d)
-            state[cid] = 2
-
-        for cid in deps:
-            visit(cid)
+            deps[consumer.call_id].append(producer.call_id)
+        _, cycle = _depth_first(list(deps), deps)
+        if cycle is not None:
+            raise StructuralError(f"plan cycle through {cycle}")
 
     def open_input_slots(self) -> list:
         """Input slots whose variable no call produces (incomplete plan)."""
@@ -417,29 +407,44 @@ def _ids_term(ids: tuple, producer_of: dict):
 
 
 def _topological(calls: list) -> list:
-    """Stable topological order over intra-fragment variable dependencies."""
-    produced = {v: c for c in calls for _, v in output_vars(c)}
-    deps: dict[str, set[str]] = {c.call_id: set() for c in calls}
+    """Stable topological order over intra-fragment variable dependencies:
+    each call after the calls it depends on, those in plan order."""
+    produced = {v: c.call_id for c in calls for _, v in output_vars(c)}
+    by_id = {c.call_id: c for c in calls}
+    deps = {}
     for c in calls:
-        for _, term in input_slots(c):
-            for v in vars_of(term):
-                p = produced.get(v)
-                if p is not None and p.call_id != c.call_id:
-                    deps[c.call_id].add(p.call_id)
-    out, done = [], set()
+        needs = {produced.get(v) for _, term in input_slots(c)
+                 for v in vars_of(term)}
+        deps[c.call_id] = [d for d in by_id if d in needs and d != c.call_id]
+    order, _ = _depth_first(list(by_id), deps)
+    return [by_id[cid] for cid in order]
 
-    def visit(c: PlanCall):
-        if c.call_id in done:
-            return
-        done.add(c.call_id)
-        for other in calls:
-            if other.call_id in deps[c.call_id]:
-                visit(other)
-        out.append(c)
 
-    for c in calls:
-        visit(c)
-    return out
+def _depth_first(ids: list, deps: dict) -> tuple:
+    """(ids in depth-first post-order, each after the dependencies `deps`
+    lists for it, visited in that order; the first id met again while its
+    own dependencies were being visited, or None). Such an id closes a
+    cycle, and the walk does not enter it twice."""
+    order, entered, done, cycle = [], set(), set(), None
+    for root in ids:
+        if root in entered:
+            continue
+        entered.add(root)
+        stack = [(root, iter(deps[root]))]
+        while stack:
+            node, pending = stack[-1]
+            for d in pending:
+                if d not in entered:
+                    entered.add(d)
+                    stack.append((d, iter(deps[d])))
+                    break
+                if d not in done and cycle is None:
+                    cycle = d
+            else:
+                stack.pop()
+                done.add(node)
+                order.append(node)
+    return order, cycle
 
 
 # ---------------------------------------------------------------------------
@@ -472,33 +477,59 @@ class Executor:
     # -- timing ------------------------------------------------------------
 
     def _start_time(self, inputs: list, values: dict) -> Fraction:
+        """The latest of the agent's time and the ready times of the call's
+        input variables and the entities its inputs name; a variable or
+        entity with no ready time is ready at 0, never after the agent."""
         start = self.agent
         for role, term in inputs:
             for v in vars_of(term):
-                start = max(start, self.var_ready.get(v, Fraction(0)))
+                ready = self.var_ready.get(v)
+                if ready is not None and ready > start:
+                    start = ready
             for serial in serials_in(values.get(role)):
-                start = max(start, self.entity_ready.get(serial, Fraction(0)))
+                ready = self.entity_ready.get(serial)
+                if ready is not None and ready > start:
+                    start = ready
         return start
 
     # -- running -----------------------------------------------------------
 
     def run(self, calls: list) -> list:
-        """Execute the given calls to completion; returns output answers."""
+        """Execute the given calls to completion; returns output answers.
+
+        A call is ready once all its input variables are bound. Each call
+        keeps the number of its input variables still unbound, and each
+        variable the calls waiting on it (Kahn 1962); binding a variable
+        counts down its waiters. The ready calls are kept in plan order,
+        and the next one is the first, or the seeded `rng`'s choice among
+        them. DataflowDeadlock names the calls left waiting, in plan order.
+        """
         # a rule over all the calls of one run, not a fact of one primitive
         if any(c.primitive == "preheat-oven" for c in calls):
             self.preheat_required = True
-        # (call, its input variables); a call is ready once all are bound
-        pending = [(c, [v for _, t in input_slots(c) for v in vars_of(t)])
-                   for c in calls]
+        unbound = []                         # per call, by plan position
+        waiting: dict[str, list] = {}        # variable -> positions
+        for i, c in enumerate(calls):
+            names = {v for _, t in input_slots(c) for v in vars_of(t)
+                     if self.bindings.lookup(v) is None}
+            unbound.append(len(names))
+            for v in names:
+                waiting.setdefault(v, []).append(i)
+        ready = [i for i, n in enumerate(unbound) if not n]
         answers = []
-        while pending:
-            ready = [p for p in pending
-                     if all(self.bindings.lookup(v) is not None for v in p[1])]
-            if not ready:
-                raise DataflowDeadlock([c.call_id for c, _ in pending])
-            chosen = ready[0] if self.rng is None else self.rng.choice(ready)
-            pending.remove(chosen)
-            answers.extend(self._run_call(chosen[0]))
+        while ready:
+            i = ready[0] if self.rng is None else self.rng.choice(ready)
+            ready.remove(i)
+            made = self._run_call(calls[i])
+            for answer in made:
+                for j in waiting.pop(answer.variable, ()):
+                    unbound[j] -= 1
+                    if not unbound[j]:
+                        insort(ready, j)
+            answers.extend(made)
+        if any(unbound):
+            raise DataflowDeadlock([c.call_id for c, n in zip(calls, unbound)
+                                    if n])
         return answers
 
     def _run_call(self, call: PlanCall) -> list:
@@ -540,8 +571,9 @@ class Executor:
                 answers.append(SlotAnswer(call.call_id, role, name,
                                           SOURCE_SIMULATION, value))
             for serial in serials_in(value):
-                self.entity_ready[serial] = max(
-                    self.entity_ready.get(serial, Fraction(0)), end)
+                ready = self.entity_ready.get(serial)
+                if ready is None or end > ready:
+                    self.entity_ready[serial] = end
 
         self.trace.records.append(TraceRecord(
             call_id=call.call_id,
@@ -561,8 +593,10 @@ class Executor:
 
 
 def _flatten_sets(value):
-    """Collapse nested value sets (a set member bound to a set of ids)."""
-    if not isinstance(value, ValueSet):
+    """Collapse nested value sets (a set member bound to a set of ids); a
+    value with none is returned as it is."""
+    if not isinstance(value, ValueSet) or not any(
+            isinstance(m, ValueSet) for m in value.members):
         return value
     members = []
     for m in value:

@@ -27,6 +27,20 @@ def test_bind_and_walk_chain():
         ValueSet([Sym("x"), Num(Fraction(1))])
 
 
+def test_substitute_rebuilds_only_what_changes():
+    b = Bindings().bind("a", Sym("x"))
+    ids = ValueSet([Num(Fraction(1)), Num(Fraction(2))])
+    nested = Compound("f", (ids, Struct({"k": Var("z")})), (("w", Sym("y")),))
+    for value in (ids, nested, Struct({"k": ids})):
+        assert b.substitute(value) is value
+    changed = Compound("f", (ids, Var("a")), (("w", Var("a")),))
+    got = b.substitute(changed)
+    assert got == Compound("f", (ids, Sym("x")), (("w", Sym("x")),))
+    assert got.args[0] is ids
+    assert b.substitute(Struct({"k": Var("a"), "j": ids})) == \
+        Struct({"k": Sym("x"), "j": ids})
+
+
 def test_bind_occurs_check_rejects_cycles():
     b = Bindings()
     assert b.bind("a", ValueSet([Var("a")])) is None

@@ -469,7 +469,8 @@ def test_incremental_maps_follow_moves_and_drops():
     counter = ks0.location("counter-top").serial
     b = kitchen_module._Builder(ks0, False)
     bowl = b.create("medium-bowl", drawer, container=True).serial
-    butter = b.create("butter", bowl, composition=(("butter", 50),)).serial
+    butter = b.create("butter", bowl,
+                      composition=(("butter", Fraction(50)),)).serial
     ks1 = b.commit(Fraction(0))
     b = kitchen_module._Builder(ks1, False)
     b.move(bowl, counter)

@@ -30,8 +30,26 @@ def test_feature_lookup_inherits_from_ancestors(ontology):
 def test_ontology_rejects_unknown_parent_and_cycles():
     with pytest.raises(InputError):
         Ontology({"a": {"is-a": ["ghost"]}})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="is-a cycle through a: a -> b -> a"):
         Ontology({"a": {"is-a": ["b"]}, "b": {"is-a": ["a"]}})
+    with pytest.raises(InputError, match="is-a cycle through c: b -> c -> c"):
+        Ontology({"a": {}, "b": {"is-a": ["a", "c"]}, "c": {"is-a": ["c"]}})
+
+
+def test_lookup_merges_a_diamond_in_walk_order():
+    # d reaches a through b and c; a merges once, before b, and c, the
+    # later parent, overrides b; d's own entries override both
+    ontology = Ontology({
+        "a": {"features": {"x": "a", "y": "a", "z": "a"}},
+        "b": {"is-a": ["a"], "features": {"x": "b", "y": "b"}},
+        "c": {"is-a": ["a"], "features": {"y": "c"}},
+        "d": {"is-a": ["b", "c"], "features": {"z": "d"}},
+    })
+    assert ontology.lookup("d") == {"x": "b", "y": "c", "z": "d"}
+    assert ontology.is_a("d", "a") and not ontology.is_a("b", "c")
+    # a lookup is the caller's copy
+    ontology.lookup("d")["x"] = "changed"
+    assert ontology.feature("d", "x") == "b"
 
 
 def test_parse_number_text_words_and_fractions():

@@ -1,10 +1,12 @@
 """Metric suite: plan overlap, goals, dish similarity, execution time."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import souschef.plans as plans_module
 from souschef import (
     InputError, PlanCall, PlanNetwork, SizeExceededError, build_report,
     dish_approximation_score, goal_condition_success, load_goals, load_plan,
@@ -12,6 +14,8 @@ from souschef import (
     smatch_score,
 )
 from souschef.features import Num, Sym, ValueSet, Var
+
+import reference_smatch
 
 
 def call(cid, primitive, **slots):
@@ -155,9 +159,24 @@ def test_smatch_search_budget_returns_best_alignment_found(data_dir):
     backward = smatch_score(vanilla, almond)
     assert not forward.exact and not backward.exact
     assert smatch_score(almond, vanilla) == forward
-    # no lower than the hill climber this matcher replaced
-    assert forward.matched >= 61
-    assert backward.matched >= 62
+    # the best alignment found within the budget, both ways
+    assert forward.matched == 62
+    assert backward.matched == 62
+
+
+def test_indexed_smatch_equals_the_scanning_smatch(data_dir, gold_names,
+                                                   workloads):
+    golds = {name: gold_plan(data_dir, name) for name in gold_names}
+    rng = random.Random(11)
+    for gold in golds.values():
+        for _ in range(20):
+            perturbed, _ = workloads.perturb(plans_module, gold, rng)
+            ta, tb = plan_triples(gold), plan_triples(perturbed)
+            for a, b in ((ta, tb), (tb, ta)):
+                assert smatch_score(a, b) == reference_smatch.smatch_score(a, b)
+    for a, b in itertools.product(golds.values(), repeat=2):
+        ta, tb = plan_triples(a), plan_triples(b)
+        assert smatch_score(ta, tb) == reference_smatch.smatch_score(ta, tb)
 
 
 def test_goal_predicates_against_final_state(almond_result, ontology):

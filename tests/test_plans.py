@@ -1,23 +1,27 @@
 """Plan networks: structure checks, data-flow execution, chunking."""
 
+import gc
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from souschef import (
-    CookingSession, InputError, Ontology, PRIMITIVES, PlanCall, PlanFragment,
-    PlanNetwork, StructuralError, UnderstandingFailure, UnsupportedDirection,
-    chunk, content_hash, execute_plan, expand_composites, find_recurrent_pairs,
-    load_plan, plan_from_json, plan_to_json, verify_direction,
+    CookingSession, DataflowDeadlock, InputError, KitchenSimulator, Ontology,
+    PRIMITIVES, PlanCall, PlanFragment, PlanNetwork, StructuralError,
+    UnderstandingFailure, UnsupportedDirection, chunk, content_hash,
+    execute_plan, expand_composites, find_recurrent_pairs, load_plan,
+    plan_from_json, plan_to_json, smatch_plans, verify_direction,
 )
-from souschef.features import Num, Struct, Sym, ValueSet, Var
+from souschef.features import Num, Struct, Sym, ValueSet, Var, vars_of
 from souschef.kitchen import Default
 from souschef.memory import initial_plot_node
 from souschef.narrative import SOURCE_ONTOLOGY, SOURCE_PDM
 from souschef.plans import (
-    classify_slots, complete_plan, inline, normalize_fragment,
+    Executor, classify_slots, complete_plan, inline, input_slots,
+    normalize_fragment,
 )
 from conftest import DATA, fresh_kitchen
 
@@ -102,8 +106,6 @@ def test_variables_inside_a_struct_term_are_open_slots():
 
 
 def _fresh_sim():
-    from souschef import KitchenSimulator, Ontology
-
     ks, config = fresh_kitchen()
     ontology = Ontology.load(DATA / "ontology.json")
     return ks, KitchenSimulator(ontology, config)
@@ -174,6 +176,85 @@ def test_executor_seed_choice_is_reproducible(gold_almond, run_plan):
     assert content_hash(a.state) == content_hash(b.state)
     assert [r.call_id for r in a.trace.records] == \
         [r.call_id for r in b.trace.records]
+
+
+class RescanningExecutor(Executor):
+    """The executor with the scheduler that ready counts replaced: each
+    step rescans every pending call's input variables."""
+
+    def run(self, calls: list) -> list:
+        if any(c.primitive == "preheat-oven" for c in calls):
+            self.preheat_required = True
+        pending = [(c, [v for _, t in input_slots(c) for v in vars_of(t)])
+                   for c in calls]
+        answers = []
+        while pending:
+            ready = [p for p in pending
+                     if all(self.bindings.lookup(v) is not None for v in p[1])]
+            if not ready:
+                raise DataflowDeadlock([c.call_id for c, _ in pending])
+            chosen = ready[0] if self.rng is None else self.rng.choice(ready)
+            pending.remove(chosen)
+            answers.extend(self._run_call(chosen[0]))
+        return answers
+
+
+def test_ready_counts_keep_every_seeded_order(gold_names, ontology):
+    for name in gold_names:
+        calls = expand_composites(
+            load_plan(DATA / "gold" / f"{name}.plan.json").calls)
+        for seed in [None, *range(20)]:
+            runs = []
+            for executor_class in (Executor, RescanningExecutor):
+                ks, config = fresh_kitchen()
+                rng = None if seed is None else random.Random(seed)
+                executor = executor_class(KitchenSimulator(ontology, config),
+                                          ks, rng=rng)
+                answers = executor.run(calls)
+                runs.append((executor.trace.records, answers))
+            assert runs[0] == runs[1], (name, seed)
+
+
+def test_deadlock_runs_the_ready_calls_and_names_the_stuck_ones(ontology):
+    ks, config = fresh_kitchen()
+    executor = Executor(KitchenSimulator(ontology, config), ks)
+    calls = [
+        # waits on c2, which waits on a variable no call produces
+        call("c0", "melt", input_ks=Var("ks2"), item=Var("melted"),
+             output_ks=Var("ks3"), resultant=Var("again")),
+        call("c1", "get-kitchen-state", kitchen_state_out=Var("ks0")),
+        call("c2", "melt", input_ks=Var("ks0"), item=Var("nowhere"),
+             output_ks=Var("ks2"), resultant=Var("melted")),
+        call("c3", "fetch-and-proportion", source_ks=Var("ks0"),
+             concept=Sym("butter"), quantity=Num(Fraction(100)),
+             unit=Sym("g"), target_container=Sym("medium-bowl"),
+             output_ks=Var("ks1"), resultant=Var("pat")),
+    ]
+    with pytest.raises(DataflowDeadlock) as caught:
+        executor.run(calls)
+    assert caught.value.stuck == ["c0", "c2"]
+    assert caught.value.code == "dataflow-deadlock"
+    assert [r.call_id for r in executor.trace.records] == ["c1", "c3"]
+
+
+def test_execution_leaves_no_reference_cycles(gold_names, run_plan):
+    # execution, validation and scoring free what they build by reference
+    # counting
+    golds = [load_plan(DATA / "gold" / f"{name}.plan.json")
+             for name in gold_names]
+    run_plan(golds[0], seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        for gold in golds:
+            run_plan(gold, seed=1)
+            assert gc.collect() == 0
+            gold.validate()
+            assert gc.collect() == 0
+            smatch_plans(gold, golds[1])
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _ontology(with_features: bool) -> Ontology:
